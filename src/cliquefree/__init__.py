@@ -8,7 +8,7 @@ prediction, and verifies both against exact solvers and seeded Monte
 Carlo experiments.
 """
 
-from .census import CensusResult, census, cover_family, independent_sets
+from .census import CensusResult, census, cover_family
 from .critical import (
     CriticalWindow,
     chromatic_number,

@@ -149,11 +149,6 @@ def census(
     return result
 
 
-def independent_sets(g: Graph, k: int, **kwargs) -> CensusResult:
-    """Census of independent k-sets (budget 0)."""
-    return census(g, k, 0, **kwargs)
-
-
 def cover_family(
     g: Graph,
     u: int,

@@ -16,13 +16,13 @@ Subcommands map one-to-one onto the library surface:
 
 All output is canonical JSON (sorted keys, two-space indent) except
 `intervals`, which emits CSV.  Exit codes: 0 success, 2 usage or domain
-error, 3 node-limit exceeded.
+error, 3 node-limit exceeded; errors are one JSON object on stderr, which
+for a node-limit stop carries the search's partial result when it has one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -30,7 +30,13 @@ from .census import census
 from .critical import chromatic_number, concentration_window, is_color_critical
 from .enumeration import partite_census
 from .errors import CliquefreeError, Graph6Error, NodeLimitError
-from .experiments import alpha_distribution, hitting_times, poisson_check, witness_rate
+from .experiments import (
+    alpha_distribution,
+    dump_json,
+    hitting_times,
+    poisson_check,
+    witness_rate,
+)
 from .graphs import graph6_encode, read_graph, sample_graph
 from .profiles import breakpoint_profile, interval_length_multiset
 from .solver import build_structure, max_clique_free, verify_structure
@@ -40,27 +46,6 @@ from .thresholds import (
     predicted_pmf,
     threshold_table,
 )
-
-
-def _sanitize(obj):
-    """Make an object strict-JSON safe (no NaN / infinity floats)."""
-    if isinstance(obj, float):
-        if obj != obj:
-            return "nan"
-        if obj == float("inf"):
-            return "inf"
-        if obj == float("-inf"):
-            return "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
-def _dump(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(args, text: str):
@@ -83,13 +68,13 @@ def _cmd_profile(args) -> int:
     lengths = interval_length_multiset(args.r)
     doc["interval_lengths"] = sorted(lengths)
     doc["interval_length_counts"] = {str(k): v for k, v in sorted(lengths.items())}
-    _emit(args, _dump(doc))
+    _emit(args, dump_json(doc))
     return 0
 
 
 def _cmd_thresholds(args) -> int:
     table = threshold_table(args.k, args.r)
-    _emit(args, _dump(table.as_dict()))
+    _emit(args, dump_json(table.as_dict()))
     return 0
 
 
@@ -105,7 +90,7 @@ def _cmd_intervals(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    _emit(args, _dump(predicted_pmf(args.n, args.r).as_dict()))
+    _emit(args, dump_json(predicted_pmf(args.n, args.r).as_dict()))
     return 0
 
 
@@ -115,7 +100,7 @@ def _cmd_solve(args) -> int:
     doc = res.as_dict()
     doc["n"] = g.n
     doc["q"] = args.q
-    _emit(args, _dump(doc))
+    _emit(args, dump_json(doc))
     return 0
 
 
@@ -124,12 +109,12 @@ def _cmd_structure(args) -> int:
     k = args.k if args.k is not None else level(args.n)
     s = build_structure(g, args.r, args.j, k, node_limit=args.node_limit)
     if s is None:
-        _emit(args, _dump({"found": False, "n": args.n, "r": args.r, "j": args.j, "k": k}))
+        _emit(args, dump_json({"found": False, "n": args.n, "r": args.r, "j": args.j, "k": k}))
         return 0
     doc = s.as_dict()
     doc["found"] = True
     doc["verified"] = verify_structure(g, s)
-    _emit(args, _dump(doc))
+    _emit(args, dump_json(doc))
     return 0
 
 
@@ -139,13 +124,13 @@ def _cmd_census_graph(args) -> int:
         g, args.k, args.budget,
         witnesses=args.witnesses, node_limit=args.node_limit,
     )
-    _emit(args, _dump(res.as_dict()))
+    _emit(args, dump_json(res.as_dict()))
     return 0
 
 
 def _cmd_census_all(args) -> int:
     res = partite_census(args.m, args.r, sample_size=args.samples, seed=args.seed)
-    _emit(args, _dump(res.as_dict()))
+    _emit(args, dump_json(res.as_dict()))
     return 0
 
 
@@ -161,48 +146,45 @@ def _cmd_critical(args) -> int:
     }
     if args.n is not None:
         doc["window"] = concentration_window(args.n, args.r).as_dict()
-    _emit(args, _dump(doc))
+    _emit(args, dump_json(doc))
     return 0
+
+
+# experiment -> (function, required options passed before reps and seed,
+# optional options passed by keyword)
+_SIMULATE = {
+    "poisson": (poisson_check, ["n", "k", "i"], []),
+    "alpha": (alpha_distribution, ["n", "r"], []),
+    "hitting": (hitting_times, ["r", "j", "n_max"], []),
+    "witness": (witness_rate, ["n", "r", "j"], ["k"]),
+}
 
 
 def _cmd_simulate(args) -> int:
-    kind = args.experiment
-    if kind == "poisson":
-        report = poisson_check(
-            args.n, args.k, args.i, args.reps, args.seed, workers=args.workers
-        )
-    elif kind == "alpha":
-        report = alpha_distribution(
-            args.n, args.r, args.reps, args.seed, workers=args.workers
-        )
-    elif kind == "hitting":
-        report = hitting_times(
-            args.r, args.j, args.n_max, args.reps, args.seed, workers=args.workers
-        )
-    elif kind == "witness":
-        report = witness_rate(
-            args.n, args.r, args.j, args.reps, args.seed,
-            k=args.k, workers=args.workers,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown experiment {kind!r}")
+    fn, required, optional = _SIMULATE[args.experiment]
+    missing = [f"--{n.replace('_', '-')}" for n in required if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"missing required options: {', '.join(missing)}")
+    report = fn(
+        *(getattr(args, n) for n in required), args.reps, args.seed,
+        workers=args.workers, **{n: getattr(args, n) for n in optional},
+    )
     if args.csv:
         Path(args.csv).write_text(report.rows_csv())
-    text = report.to_json(include_rows=args.rows, include_timing=args.timing)
-    # reports sanitize their own floats through to_json's allow_nan=False;
-    # re-dump defensively so inf lambdas in summaries cannot leak through
-    _emit(args, _dump(json.loads(text)) if "Infinity" in text else text)
+    _emit(args, report.to_json(include_rows=args.rows, include_timing=args.timing))
     return 0
 
 
-def _require(args, names: list[str]):
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"missing required options: {', '.join(missing)}")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as ValueError, so run() answers it with
+    exit code 2 and a JSON error like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cliquefree",
         description="Two-point concentration toolkit for clique-free subgraphs "
                     "of dense random graphs",
@@ -303,26 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_SIMULATE_REQUIRED = {
-    "poisson": ["n", "k", "i"],
-    "alpha": ["n", "r"],
-    "hitting": ["r", "j", "n_max"],
-    "witness": ["n", "r", "j"],
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            _require(args, _SIMULATE_REQUIRED[args.experiment])
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except NodeLimitError as e:
-        sys.stderr.write(_dump({"error": "node_limit", "message": str(e), "nodes": e.nodes}))
+        doc = {"error": "node_limit", "message": str(e), "nodes": e.nodes}
+        if hasattr(e.partial, "as_dict"):
+            doc["partial"] = e.partial.as_dict()
+        sys.stderr.write(dump_json(doc))
         return 3
     except (ValueError, Graph6Error, CliquefreeError, OSError) as e:
-        sys.stderr.write(_dump({"error": type(e).__name__, "message": str(e)}))
+        sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}))
         return 2
 
 

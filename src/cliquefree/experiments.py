@@ -1,11 +1,15 @@
 """Seeded Monte Carlo experiments with reproducible reports.
 
-Every experiment follows the same contract:
+Every experiment is one call of the same runner, _experiment, with a
+module-level replicate function _<kind>_rep and a summary of the rows:
 
-* replicate t uses the child seed sub_seed(seed, t), so reports are a pure
-  function of (parameters, seed, reps) regardless of worker count;
+* replicate t is _<kind>_rep(t, sub_seed(seed, t), *params), so reports
+  are a pure function of (parameters, seed, reps) regardless of worker
+  count; with workers, replicates map one per task in t order;
 * per-replicate rows are plain dicts; summaries are computed from the full
   row list after the (optionally parallel) map;
+* dump_json is the one JSON writer, here and in the CLI: sorted keys, and
+  non-finite floats written as the strings "nan", "inf" and "-inf";
 * JSON serialization excludes wall-clock timing by default, so rerunning
   the same command yields byte-identical output.
 
@@ -24,8 +28,10 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .census import census
 from .errors import NodeLimitError
@@ -42,6 +48,23 @@ from .solver import build_structure, max_clique_free, verify_structure
 from .thresholds import level, level_threshold, predicted_interval
 
 SCHEMA_VERSION = 1
+
+
+def _sanitize(obj):
+    """Make an object strict-JSON safe (no NaN / infinity floats)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)  # "nan", "inf", "-inf"
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
+
+
+def dump_json(obj) -> str:
+    """Canonical JSON: sorted keys, two-space indent, non-finite floats as
+    the strings "nan", "inf" and "-inf"."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass
@@ -64,7 +87,7 @@ class ExperimentReport:
             doc["replicates"] = self.replicates
         if include_timing:
             doc["wall_clock_s"] = self.wall_clock_s
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return dump_json(doc)
 
     def rows_csv(self) -> str:
         if not self.replicates:
@@ -78,33 +101,41 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _run_replicates(fn, params: tuple, reps: int, seed: int, workers: int) -> list[dict]:
-    """Map fn(rep, child_seed, *params) over replicates, optionally parallel."""
+def _experiment(
+    name: str, replicate, params: dict, reps: int, seed: int, workers: int, summarise
+) -> ExperimentReport:
+    """Run replicate(t, sub_seed(seed, t), *params.values()) for t < reps and
+    report summarise(rows), with config = params plus reps and seed.
+
+    Parallel runs map one replicate per task in t order, in chunks of
+    ceil(reps / workers); the replicate is sent by reference, so it must be
+    a module-level function.
+    """
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    t0 = time.perf_counter()
+    args = tuple(params.values())
     if workers <= 1 or reps < 2 * workers:
-        return [fn(t, sub_seed(seed, t), *params) for t in range(reps)]
-    slices = []
-    base = reps // workers
-    extra = reps % workers
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            slices.append(range(start, start + size))
-        start += size
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(
-            _chunk_worker, [(fn.__name__, params, seed, list(rng)) for rng in slices]
-        )
-        rows: list[dict] = []
-        for chunk in chunks:
-            rows.extend(chunk)
-    return rows
+        rows = [replicate(t, sub_seed(seed, t), *args) for t in range(reps)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(
+                replicate,
+                range(reps),
+                [sub_seed(seed, t) for t in range(reps)],
+                *(repeat(a, reps) for a in args),
+                chunksize=math.ceil(reps / workers),
+            ))
+    summary = summarise(rows)
+    return ExperimentReport(
+        name, {**params, "reps": reps, "seed": seed}, summary, rows,
+        wall_clock_s=time.perf_counter() - t0,
+    )
 
 
-def _chunk_worker(job) -> list[dict]:
-    fn_name, params, seed, reps = job
-    fn = _REPLICATE_FNS[fn_name]
-    return [fn(t, sub_seed(seed, t), *params) for t in reps]
+def _histogram(values) -> dict:
+    """Value counts keyed by the value as a string, in ascending value order."""
+    return {str(v): c for v, c in sorted(Counter(values).items())}
 
 
 def tv_to_poisson(counts: dict, reps: int, lam: float) -> float:
@@ -136,37 +167,30 @@ def poisson_check(
     n: int, k: int, i: int, reps: int, seed: int, *, workers: int = 1
 ) -> ExperimentReport:
     """Empirical law of the exact-i-defect k-set count vs Poisson."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    t0 = time.perf_counter()
-    rows = _run_replicates(_poisson_rep, (n, k, i), reps, seed, workers)
-    values = [r["value"] for r in rows]
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    mean = sum(values) / reps
-    var = sum((v - mean) ** 2 for v in values) / reps
-    lam = expected_defect_sets(n, k, i).to_float()
-    bound = stein_chen_bound(n, k, i)
-    summary = {
-        "reps": reps,
-        "histogram": {str(v): c for v, c in sorted(counts.items())},
-        "mean": mean,
-        "variance": var,
-        "lambda_theory": lam,
-        "clt_radius_3sigma": 3.0 * math.sqrt(var / reps),
-        "tv_vs_theory": tv_to_poisson(counts, reps, lam),
-        "tv_vs_mean": tv_to_poisson(counts, reps, mean),
-        "stein_chen_log10": bound.ln / math.log(10.0) if bound.sign else None,
-    }
-    report = ExperimentReport(
-        name="poisson_check",
-        config={"n": n, "k": k, "i": i, "reps": reps, "seed": seed},
-        summary=summary,
-        replicates=rows,
+
+    def summarise(rows: list[dict]) -> dict:
+        values = [r["value"] for r in rows]
+        counts = Counter(values)
+        mean = sum(values) / reps
+        var = sum((v - mean) ** 2 for v in values) / reps
+        lam = expected_defect_sets(n, k, i).to_float()
+        bound = stein_chen_bound(n, k, i)
+        return {
+            "reps": reps,
+            "histogram": _histogram(values),
+            "mean": mean,
+            "variance": var,
+            "lambda_theory": lam,
+            "clt_radius_3sigma": 3.0 * math.sqrt(var / reps),
+            "tv_vs_theory": tv_to_poisson(counts, reps, lam),
+            "tv_vs_mean": tv_to_poisson(counts, reps, mean),
+            "stein_chen_log10": bound.ln / math.log(10.0) if bound.sign else None,
+        }
+
+    return _experiment(
+        "poisson_check", _poisson_rep, {"n": n, "k": k, "i": i}, reps, seed, workers,
+        summarise,
     )
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
 
 
 # -- alpha_distribution --------------------------------------------------------
@@ -182,37 +206,28 @@ def alpha_distribution(
     n: int, r: int, reps: int, seed: int, *, workers: int = 1
 ) -> ExperimentReport:
     """Empirical law of the maximum (r+1)-clique-free subgraph size."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    t0 = time.perf_counter()
-    rows = _run_replicates(_alpha_rep, (n, r), reps, seed, workers)
-    values = [r_["alpha"] for r_ in rows]
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    try:
-        lo, hi = predicted_interval(n, r)
-        coverage = sum(1 for v in values if lo <= v <= hi) / reps
-        interval = [lo, hi]
-    except ValueError:
-        interval = None
-        coverage = None
-    summary = {
-        "reps": reps,
-        "histogram": {str(v): c for v, c in sorted(counts.items())},
-        "mean": sum(values) / reps,
-        "predicted_interval": interval,
-        "interval_coverage": coverage,
-        "level": level(n),
-    }
-    report = ExperimentReport(
-        name="alpha_distribution",
-        config={"n": n, "r": r, "reps": reps, "seed": seed},
-        summary=summary,
-        replicates=rows,
+
+    def summarise(rows: list[dict]) -> dict:
+        values = [r_["alpha"] for r_ in rows]
+        try:
+            lo, hi = predicted_interval(n, r)
+            coverage = sum(1 for v in values if lo <= v <= hi) / reps
+            interval = [lo, hi]
+        except ValueError:
+            interval = None
+            coverage = None
+        return {
+            "reps": reps,
+            "histogram": _histogram(values),
+            "mean": sum(values) / reps,
+            "predicted_interval": interval,
+            "interval_coverage": coverage,
+            "level": level(n),
+        }
+
+    return _experiment(
+        "alpha_distribution", _alpha_rep, {"n": n, "r": r}, reps, seed, workers, summarise
     )
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
 
 
 # -- hitting_times -------------------------------------------------------------
@@ -258,33 +273,26 @@ def hitting_times(
     exactly mu_j defect edges.  Coincidence of the two is tallied; no
     ordering between them is asserted.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
     if not 1 <= j <= r:
         raise ValueError("need 1 <= j <= r")
-    t0 = time.perf_counter()
-    rows = _run_replicates(_hitting_rep, (r, j, n_max), reps, seed, workers)
-    both = [r_ for r_ in rows if r_["t_alpha"] is not None and r_["t_supply"] is not None]
-    coincide = sum(1 for r_ in both if r_["t_alpha"] == r_["t_supply"])
-    alpha_first = sum(1 for r_ in both if r_["t_alpha"] < r_["t_supply"])
-    supply_first = sum(1 for r_ in both if r_["t_alpha"] > r_["t_supply"])
-    summary = {
-        "reps": reps,
-        "completed": len(both),
-        "censored_alpha": sum(1 for r_ in rows if r_["t_alpha"] is None),
-        "censored_supply": sum(1 for r_ in rows if r_["t_supply"] is None),
-        "coincidence_rate": coincide / len(both) if both else None,
-        "alpha_first": alpha_first,
-        "supply_first": supply_first,
-    }
-    report = ExperimentReport(
-        name="hitting_times",
-        config={"r": r, "j": j, "n_max": n_max, "reps": reps, "seed": seed},
-        summary=summary,
-        replicates=rows,
+
+    def summarise(rows: list[dict]) -> dict:
+        both = [r_ for r_ in rows if r_["t_alpha"] is not None and r_["t_supply"] is not None]
+        coincide = sum(1 for r_ in both if r_["t_alpha"] == r_["t_supply"])
+        return {
+            "reps": reps,
+            "completed": len(both),
+            "censored_alpha": sum(1 for r_ in rows if r_["t_alpha"] is None),
+            "censored_supply": sum(1 for r_ in rows if r_["t_supply"] is None),
+            "coincidence_rate": coincide / len(both) if both else None,
+            "alpha_first": sum(1 for r_ in both if r_["t_alpha"] < r_["t_supply"]),
+            "supply_first": sum(1 for r_ in both if r_["t_alpha"] > r_["t_supply"]),
+        }
+
+    return _experiment(
+        "hitting_times", _hitting_rep, {"r": r, "j": j, "n_max": n_max}, reps, seed,
+        workers, summarise,
     )
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
 
 
 # -- witness_rate --------------------------------------------------------------
@@ -335,45 +343,32 @@ def witness_rate(
     Compares the supply event (enough exact-mu defect subsets one level up)
     against actual constructibility of the full structure with covers.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
     if not 1 <= j <= r:
         raise ValueError("need 1 <= j <= r")
     if k is None:
         k = level(n)
-    t0 = time.perf_counter()
-    rows = _run_replicates(_witness_rep, (n, r, j, k), reps, seed, workers)
-    mu, xi = mu_xi(r, j)
-    built = [r_ for r_ in rows if r_["built"] == 1]
-    lam = expected_defect_sets(n, k + 1, mu).to_float()
-    summary = {
-        "reps": reps,
-        "k": k,
-        "mu": mu,
-        "xi": xi,
-        "supply_rate": sum(r_["supply_event"] for r_ in rows) / reps,
-        "build_rate": len(built) / reps,
-        "gave_up": sum(1 for r_ in rows if r_["built"] == -1),
-        "verified_all": all(r_["verified"] == 1 for r_ in built) if built else None,
-        "alpha_reached_all": (
-            all(r_["alpha_reached"] == 1 for r_ in built if r_["alpha_reached"] is not None)
-            if built else None
-        ),
-        "poisson_supply_prediction": poisson_tail(lam, xi),
-    }
-    report = ExperimentReport(
-        name="witness_rate",
-        config={"n": n, "r": r, "j": j, "k": k, "reps": reps, "seed": seed},
-        summary=summary,
-        replicates=rows,
+
+    def summarise(rows: list[dict]) -> dict:
+        mu, xi = mu_xi(r, j)
+        built = [r_ for r_ in rows if r_["built"] == 1]
+        lam = expected_defect_sets(n, k + 1, mu).to_float()
+        return {
+            "reps": reps,
+            "k": k,
+            "mu": mu,
+            "xi": xi,
+            "supply_rate": sum(r_["supply_event"] for r_ in rows) / reps,
+            "build_rate": len(built) / reps,
+            "gave_up": sum(1 for r_ in rows if r_["built"] == -1),
+            "verified_all": all(r_["verified"] == 1 for r_ in built) if built else None,
+            "alpha_reached_all": (
+                all(r_["alpha_reached"] == 1 for r_ in built if r_["alpha_reached"] is not None)
+                if built else None
+            ),
+            "poisson_supply_prediction": poisson_tail(lam, xi),
+        }
+
+    return _experiment(
+        "witness_rate", _witness_rep, {"n": n, "r": r, "j": j, "k": k}, reps, seed,
+        workers, summarise,
     )
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
-
-
-_REPLICATE_FNS = {
-    "_poisson_rep": _poisson_rep,
-    "_alpha_rep": _alpha_rep,
-    "_hitting_rep": _hitting_rep,
-    "_witness_rep": _witness_rep,
-}

@@ -1,10 +1,13 @@
 """Exact solvers: largest clique-free induced subgraphs and defect structures.
 
-max_clique_free computes the maximum number of vertices inducing no clique
-on q vertices, by branch and bound over vertex masks.  The bound is the
-plain size bound |chosen| + |candidates|; the include step is gated by an
-exact clique search inside the chosen neighborhood, so every reported
-witness is correct by construction.
+max_clique_free and max_pattern_free compute the maximum number of
+vertices inducing no copy of a forbidden graph F (a clique on q vertices,
+or any pattern f) with one branch and bound over vertex masks.  The bound
+is the plain size bound |chosen| + |candidates|.  The two solvers differ
+only in the test that gates the include step: an exact clique search
+inside the new vertex's chosen neighborhood for K_q, a subgraph match
+inside the chosen set plus the new vertex for f.  Both tests are exact, so
+every reported witness is correct by construction.
 
 build_structure assembles the certificate family behind the lower-bound
 side of the two-point prediction: j parts of size k+1 carrying mu or mu+1
@@ -40,29 +43,69 @@ class SolveResult:
         }
 
 
+def _clique_within(rows: list[int], cand: int, need: int) -> bool:
+    """True iff cand holds a clique on need >= 1 vertices."""
+    if need == 1:
+        return cand != 0
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        b = cand & -cand
+        cand ^= b
+        # extend with v's later neighbors only, so each clique is
+        # enumerated once in ascending order
+        if _clique_within(rows, rows[b.bit_length() - 1] & cand, need - 1):
+            return True
+    return False
+
+
 def has_clique(g: Graph, mask: int, q: int) -> bool:
     """True iff the mask contains a clique on q vertices."""
-    if q <= 0:
-        return True
-    if q == 1:
-        return mask != 0
-    rows = g.rows
+    return q <= 0 or _clique_within(g.rows, mask, q)
 
-    def walk(cand: int, need: int) -> bool:
-        if need == 1:
-            return cand != 0
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            b = cand & -cand
-            cand ^= b
-            # extend with v's later neighbors only, so each clique is
-            # enumerated once in ascending order
-            if walk(rows[b.bit_length() - 1] & cand, need - 1):
-                return True
-        return False
 
-    return walk(mask, q)
+def _max_free(g: Graph, makes_copy, node_limit: int, at_least: int | None) -> SolveResult:
+    """Branch and bound behind max_clique_free and max_pattern_free.
+
+    makes_copy(chosen, b) is True iff adding vertex bit b to the F-free
+    mask chosen creates a copy of F.  The greedy seed keeps, in vertex
+    order, each vertex that makes no copy; the search then branches on the
+    lowest candidate, include before exclude.
+    """
+    best_mask = 0
+    best = 0
+    for v in range(g.n):
+        if not makes_copy(best_mask, 1 << v):
+            best_mask |= 1 << v
+            best += 1
+
+    nodes = 0
+    target = at_least if at_least is not None else g.n + 1
+
+    def dfs(cand: int, chosen: int, size: int):
+        nonlocal best, best_mask, nodes
+        if best >= target:
+            return
+        nodes += 1
+        if nodes > node_limit:
+            raise NodeLimitError(
+                f"solver exceeded {node_limit} nodes",
+                nodes,
+                partial=SolveResult(best, best_mask, nodes),
+            )
+        if size + cand.bit_count() <= best:
+            return
+        b = cand & -cand
+        rest = cand ^ b
+        if not makes_copy(chosen, b):
+            if size + 1 > best:
+                best = size + 1
+                best_mask = chosen | b
+            dfs(rest, chosen | b, size + 1)
+        dfs(rest, chosen, size)
+
+    dfs(g.full_mask, 0, 0)
+    return SolveResult(best, best_mask, nodes)
 
 
 def max_clique_free(
@@ -79,45 +122,14 @@ def max_clique_free(
     """
     if q < 2:
         raise ValueError("clique order q must be at least 2")
-    n = g.n
     rows = g.rows
-
-    # greedy seed: scan vertices in order, keep those not completing a clique
-    best_mask = 0
-    best = 0
-    for v in range(n):
-        if not has_clique(g, rows[v] & best_mask, q - 1):
-            best_mask |= 1 << v
-            best += 1
-
-    nodes = 0
-    target = at_least if at_least is not None else n + 1
-
-    def dfs(cand: int, chosen: int, size: int):
-        nonlocal best, best_mask, nodes
-        if best >= target:
-            return
-        nodes += 1
-        if nodes > node_limit:
-            raise NodeLimitError(
-                f"solver exceeded {node_limit} nodes",
-                nodes,
-                partial=SolveResult(best, best_mask, nodes),
-            )
-        if size + cand.bit_count() <= best:
-            return
-        b = cand & -cand
-        v = b.bit_length() - 1
-        rest = cand ^ b
-        if not has_clique(g, rows[v] & chosen, q - 1):
-            if size + 1 > best:
-                best = size + 1
-                best_mask = chosen | b
-            dfs(rest, chosen | b, size + 1)
-        dfs(rest, chosen, size)
-
-    dfs(g.full_mask, 0, 0)
-    return SolveResult(best, best_mask, nodes)
+    need = q - 1
+    return _max_free(
+        g,
+        lambda chosen, b: _clique_within(rows, rows[b.bit_length() - 1] & chosen, need),
+        node_limit,
+        at_least,
+    )
 
 
 def contains_subgraph(g: Graph, f: Graph, *, within: int | None = None) -> bool:
@@ -165,48 +177,18 @@ def max_pattern_free(
 ) -> SolveResult:
     """Maximum induced subgraph containing no copy of the pattern f.
 
-    With f a complete graph this computes the same quantity as
+    With f a complete graph this computes the same result as
     max_clique_free, through a general subgraph matcher instead of the
     clique recursion.
     """
     if f.n < 1 or f.edge_count() == 0:
         raise ValueError("pattern must have at least one edge")
-    n = g.n
-    nodes = 0
-    target = at_least if at_least is not None else n + 1
-
-    best_mask = 0
-    best = 0
-    for v in range(n):
-        cand = best_mask | (1 << v)
-        if not contains_subgraph(g, f, within=cand):
-            best_mask = cand
-            best += 1
-
-    def dfs(cand: int, chosen: int, size: int):
-        nonlocal best, best_mask, nodes
-        if best >= target:
-            return
-        nodes += 1
-        if nodes > node_limit:
-            raise NodeLimitError(
-                f"solver exceeded {node_limit} nodes",
-                nodes,
-                partial=SolveResult(best, best_mask, nodes),
-            )
-        if size + cand.bit_count() <= best:
-            return
-        b = cand & -cand
-        rest = cand ^ b
-        if not contains_subgraph(g, f, within=chosen | b):
-            if size + 1 > best:
-                best = size + 1
-                best_mask = chosen | b
-            dfs(rest, chosen | b, size + 1)
-        dfs(rest, chosen, size)
-
-    dfs(g.full_mask, 0, 0)
-    return SolveResult(best, best_mask, nodes)
+    return _max_free(
+        g,
+        lambda chosen, b: contains_subgraph(g, f, within=chosen | b),
+        node_limit,
+        at_least,
+    )
 
 
 # -- defect structures --------------------------------------------------------

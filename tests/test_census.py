@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquefree.census import (
-    CensusResult,
-    census,
-    cover_family,
-    independent_sets,
-)
+from cliquefree.census import CensusResult, census, cover_family
 from cliquefree.errors import NodeLimitError
 from cliquefree.graphs import Graph, covers_edge, sample_graph, vertices_to_mask
 
@@ -103,13 +98,6 @@ def test_census_node_limit():
     assert err.nodes > 100
     assert isinstance(err.partial, CensusResult)
     assert err.partial.total < 12870
-
-
-def test_independent_sets_is_budget_zero():
-    g = sample_graph(10, 99)
-    a = independent_sets(g, 3)
-    b = census(g, 3, 0)
-    assert a.counts == b.counts
 
 
 def test_census_as_dict():

@@ -82,9 +82,14 @@ def test_solve_node_limit_exit_code(tmp_path, capsys):
     path = tmp_path / "g.el"
     path.write_text(format_edge_list(sample_graph(24, 3)))
     assert run(["solve", "--in", str(path), "--q", "3", "--node-limit", "10"]) == 3
-    err = json.loads(capsys.readouterr().err)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
     assert err["error"] == "node_limit"
     assert err["nodes"] > 10
+    partial = err["partial"]
+    assert partial["size"] > 0
+    assert len(partial["witness"]) == partial["size"]
 
 
 def test_solve_missing_file(capsys):
@@ -212,6 +217,30 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(path.read_text())
     assert doc["breakpoints"] == [1, 2, 5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--in", "g.el", "--q", "3", "--bogus"],
+    ["solve", "--in", "g.el", "--q", "x"],
+    ["solve", "--in", "g.el"],
+    ["simulate", "nope", "--reps", "1", "--seed", "0"],
+    ["no-such-command"],
+    [],
+])
+def test_parse_errors_are_json(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--node-limit" in capsys.readouterr().out
 
 
 def test_domain_error_exit_code(capsys):

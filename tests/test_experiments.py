@@ -1,5 +1,6 @@
 """Tests for the seeded experiment harness and its reports."""
 
+import hashlib
 import json
 import math
 
@@ -175,6 +176,37 @@ def test_reports_are_deterministic_and_parallel_invariant():
     assert a.to_json(include_rows=True) == c.to_json(include_rows=True)
     d = poisson_check(14, 4, 1, reps=8, seed=10)
     assert d.to_json() != a.to_json()
+
+
+# sha256 of to_json(include_rows=True), recorded before the four experiments
+# shared one replicate runner and one JSON writer
+REPORT_GOLDEN = [
+    (lambda w: poisson_check(14, 4, 1, reps=6, seed=3, workers=w),
+     "40db7cf9b606b18d2956fb1683f382595ea611c57ad49c064856e2d655c96ccc"),
+    (lambda w: alpha_distribution(16, 2, reps=4, seed=5, workers=w),
+     "7a7c2987a50c9979bdce71b3d3786d57aa3c869fd8993fb3085cf6a9a22a2c3d"),
+    (lambda w: hitting_times(2, 1, n_max=20, reps=4, seed=5, workers=w),
+     "1cbbb1f02b902904392ba13f961df7d9b08501067153533326da10c0fefc34c6"),
+    (lambda w: witness_rate(18, 2, 1, reps=6, seed=7, k=4, workers=w),
+     "5ea20338abbdf7a2d7b9962b82c36e0a1cd8c498912e4de230e0ca4360a7c9db"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "make,digest", REPORT_GOLDEN, ids=["poisson", "alpha", "hitting", "witness"]
+)
+def test_report_json_golden(make, digest, workers):
+    text = make(workers).to_json(include_rows=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_non_finite_summary_floats_serialise_as_strings():
+    rep = ExperimentReport(
+        "x", {}, {"lam": math.inf, "neg": -math.inf, "bad": math.nan, "ok": [1.5]}
+    )
+    doc = json.loads(rep.to_json())
+    assert doc["summary"] == {"lam": "inf", "neg": "-inf", "bad": "nan", "ok": [1.5]}
 
 
 def test_json_shape_and_timing_flag():

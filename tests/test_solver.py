@@ -104,6 +104,31 @@ def test_max_clique_free_at_least_semantics():
     assert full.size == exact.size
 
 
+# recorded before the clique and pattern solvers shared one search core;
+# node counts included, so any change to the search order shows here
+MAX_CLIQUE_FREE_GOLDEN = [
+    ((18, 1, 3), {"size": 11, "witness": [2, 3, 4, 5, 7, 8, 9, 10, 11, 15, 16],
+                  "nodes": 3688}),
+    ((20, 2, 3), {"size": 10, "witness": [0, 3, 4, 10, 11, 12, 13, 14, 16, 18],
+                  "nodes": 6922}),
+    ((22, 3, 3), {"size": 10, "witness": [0, 1, 3, 5, 6, 7, 9, 15, 19, 21],
+                  "nodes": 23596}),
+    ((18, 4, 4), {"size": 13, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 15, 17],
+                  "nodes": 3666}),
+    ((20, 5, 4), {"size": 14, "witness": [0, 1, 2, 3, 5, 7, 9, 10, 11, 13, 14, 15, 16, 19],
+                  "nodes": 4606}),
+    ((21, 6, 4), {"size": 15,
+                  "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 20],
+                  "nodes": 20378}),
+]
+
+
+@pytest.mark.parametrize("point,want", MAX_CLIQUE_FREE_GOLDEN)
+def test_max_clique_free_golden(point, want):
+    n, seed, q = point
+    assert max_clique_free(sample_graph(n, seed), q).as_dict() == want
+
+
 def test_max_clique_free_node_limit():
     g = sample_graph(24, 3)
     with pytest.raises(NodeLimitError) as exc:
@@ -163,13 +188,15 @@ def _brute_pattern_free(g, f):
 
 
 def test_max_pattern_free_on_cliques_matches_clique_solver():
-    tri = Graph.complete(3)
-    for seed in range(8):
-        g = sample_graph(10, seed)
-        a = max_clique_free(g, 3)
-        b = max_pattern_free(g, tri)
-        assert a.size == b.size, seed
-        assert not contains_subgraph(g, tri, within=b.witness)
+    # one search core: same size, witness and node count, not only same size
+    for q in (3, 4):
+        clique = Graph.complete(q)
+        for seed in range(8):
+            g = sample_graph(10, seed)
+            a = max_clique_free(g, q)
+            b = max_pattern_free(g, clique)
+            assert a == b, (q, seed)
+            assert not contains_subgraph(g, clique, within=b.witness)
 
 
 def test_max_pattern_free_path_pattern():
