@@ -1,14 +1,24 @@
 """Exhaustive census of k-subsets with bounded induced edge count.
 
-The census walks k-subsets by backtracking in ascending-degree order,
-pruning any partial selection whose induced edge count already exceeds the
-budget.  Low-degree-first ordering makes the prune fire early on dense
-graphs, which is what keeps desk-scale parameter points (n around 35,
-k around 8) in the millisecond range.
+Vertices are ranked by ascending degree and the search walks k-subsets as
+increasing position sequences.  A prefix carries its later candidates
+bit-sliced by how many neighbours they have among the chosen positions:
+slices[c] is the mask of later positions with exactly c chosen neighbours,
+for c up to the budget the prefix has left.  Choosing position p moves each
+of p's later neighbours up one slice; a position pushed past the remaining
+budget falls out, so no extension is tried and then rejected.  A prefix is
+pruned when its slices hold fewer positions than it still needs, the last
+level is tallied by a popcount per slice, and once the budget is spent only
+slices[0] remains and the rest of the walk is an independent-set count on
+one mask.  Listing mode runs the same walk and carries the chosen vertex
+mask down to the leaves.
 
-Node accounting: every attempted vertex extension counts as one node.
-Searches carry a node limit and raise NodeLimitError with their partial
-tallies when they hit it, so runaway parameter choices fail loudly instead
+Node accounting: every extension the walk takes to a prefix of at most
+k - 1 positions counts as one node.  An extension whose candidates are too
+few to complete the set is pruned before it is taken and is not counted,
+and the k-th position is tallied by popcount and adds none.  Searches
+carry a node limit and raise NodeLimitError with a partial result holding
+the tallies made so far, so runaway parameter choices fail loudly instead
 of hanging.
 """
 
@@ -79,74 +89,143 @@ def census(
 
     candidates restricts the ground set to a vertex mask.  Counts are keyed
     by exact edge count, so callers needing "exactly i" read counts[i].
+    When the witness cap truncates, the kept witnesses are the first
+    witness_cap the walk meets, sorted by mask.
     """
     if k < 0 or budget < 0:
         raise ValueError("k and budget must be non-negative")
     if candidates is None:
         candidates = g.full_mask
-    verts = [v for v in mask_to_vertices(candidates) if 0 <= v < g.n]
-    order = sorted(verts, key=lambda v: (g.degree(v), v))
+    candidates &= g.full_mask
+    order = sorted(mask_to_vertices(candidates), key=lambda v: (g.degree(v), v))
     nn = len(order)
 
     # adjacency translated to positions in the chosen order
+    pos = [0] * g.n
+    for q, v in enumerate(order):
+        pos[v] = q
     posadj = []
     for v in order:
         m = 0
-        for q, u in enumerate(order):
-            if (g.rows[v] >> u) & 1:
-                m |= 1 << q
+        row = g.rows[v] & candidates
+        while row:
+            b = row & -row
+            row ^= b
+            m |= 1 << pos[b.bit_length() - 1]
         posadj.append(m)
+    vbit = [1 << v for v in order]
 
     result = CensusResult(
         n=g.n, k=k, budget=budget,
         witnesses=[] if witnesses else None,
     )
-    counts = result.counts
     if k == 0:
-        counts[0] = 1
+        result.counts[0] = 1
         if witnesses:
             result.witnesses.append((0, 0))
         return result
     if nn < k:
         return result
 
-    nodes = 0
+    # a k-set has at most k(k-1)/2 edges, so no larger budget needs a slice
+    tally = [0] * (min(budget, k * (k - 1) // 2) + 1)
     wit = result.witnesses
-    # stack of (next position, chosen position mask, depth, edge count)
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        start, chosen, depth, edges = stack.pop()
-        if depth == k:
-            counts[edges] = counts.get(edges, 0) + 1
-            if wit is not None:
-                if len(wit) < witness_cap:
-                    # translate back to original vertex labels
-                    m = 0
-                    c = chosen
-                    while c:
-                        b = c & -c
-                        c ^= b
-                        m |= 1 << order[b.bit_length() - 1]
-                    wit.append((m, edges))
-                else:
-                    result.witnesses_complete = False
-            continue
-        need = k - depth
-        # push in reverse so positions are explored in ascending order
-        for p in range(nn - need, start - 1, -1):
+    nodes = 0
+
+    def finish() -> CensusResult:
+        result.counts = {e: c for e, c in enumerate(tally) if c}
+        result.nodes = nodes
+        if wit is not None:
+            wit.sort()
+        return result
+
+    def stop() -> None:
+        result.witnesses_complete = False
+        raise NodeLimitError(
+            f"census exceeded {node_limit} nodes", nodes, partial=finish()
+        )
+
+    def leaves(slices: list[int], rest: int, e: int, vm: int) -> None:
+        """Tally (and list) the k-sets completing a prefix of k - 1.
+
+        rest is the union of slices, the prefix's possible last positions.
+        """
+        for c, s in enumerate(slices):
+            tally[e + c] += s.bit_count()
+        if wit is None:
+            return
+        while rest:
+            if len(wit) >= witness_cap:
+                result.witnesses_complete = False
+                return
+            b = rest & -rest
+            rest ^= b
+            c = 0
+            while not slices[c] & b:
+                c += 1
+            wit.append((vm | vbit[b.bit_length() - 1], e + c))
+
+    def spent(cand: int, e: int, need: int, vm: int) -> None:
+        """Extend by the independent need-sets of cand: the budget is used up."""
+        nonlocal nodes
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            p = b.bit_length() - 1
+            sub = cand & ~posadj[p]
+            if sub.bit_count() < need - 1:
+                continue
             nodes += 1
-            e2 = edges + (posadj[p] & chosen).bit_count()
-            if e2 <= budget:
-                stack.append((p + 1, chosen | (1 << p), depth + 1, e2))
-        if nodes > node_limit:
-            result.nodes = nodes
-            raise NodeLimitError(
-                f"census exceeded {node_limit} nodes", nodes, partial=result
-            )
-    result.nodes = nodes
-    if wit is not None:
-        wit.sort()
-    return result
+            if nodes > node_limit:
+                stop()
+            if need > 2:
+                spent(sub, e, need - 1, vm | vbit[p])
+            elif wit is None:
+                tally[e] += sub.bit_count()
+            else:
+                leaves([sub], sub, e, vm | vbit[p])
+
+    def grow(slices: list[int], rest: int, e: int, need: int, vm: int) -> None:
+        """Extend a prefix with e edges by need >= 2 more positions.
+
+        rest is the union of slices; the budget left is len(slices) - 1.
+        """
+        nonlocal nodes
+        while rest.bit_count() >= need:
+            b = rest & -rest
+            rest ^= b
+            c = 0
+            while not slices[c] & b:
+                c += 1
+            p = b.bit_length() - 1
+            adj = posadj[p]
+            child = [slices[0] & ~adj & rest]
+            for i in range(1, len(slices) - c):
+                child.append(((slices[i] & ~adj) | (slices[i - 1] & adj)) & rest)
+            union = 0
+            for s in child:
+                union |= s
+            if union.bit_count() < need - 1:
+                continue
+            nodes += 1
+            if nodes > node_limit:
+                stop()
+            if need == 2:
+                leaves(child, union, e + c, vm | vbit[p])
+            elif len(child) == 1:
+                spent(union, e + c, need - 1, vm | vbit[p])
+            else:
+                grow(child, union, e + c, need - 1, vm | vbit[p])
+
+    every = (1 << nn) - 1
+    root = [every] + [0] * (len(tally) - 1)
+    if k == 1:
+        leaves(root, every, 0, 0)
+    elif len(root) == 1:
+        spent(every, 0, k, 0)
+    else:
+        grow(root, every, 0, k, 0)
+    return finish()
 
 
 def cover_family(

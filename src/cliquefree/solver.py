@@ -6,7 +6,7 @@ or any pattern f) with one branch and bound over vertex masks.  The bound
 is the plain size bound |chosen| + |candidates|.  The two solvers differ
 only in the test that gates the include step: an exact clique search
 inside the new vertex's chosen neighborhood for K_q, a subgraph match
-inside the chosen set plus the new vertex for f.  Both tests are exact, so
+with the new vertex pinned into the copy for f.  Both tests are exact, so
 every reported witness is correct by construction.
 
 build_structure assembles the certificate family behind the lower-bound
@@ -132,6 +132,42 @@ def max_clique_free(
     )
 
 
+def _pattern_back(f: Graph, first: int) -> tuple[tuple[int, ...], ...]:
+    """Matching plan for f: each position's pattern neighbours at earlier positions.
+
+    The order starts at first and then keeps taking the vertex with the
+    most neighbours already placed, ties by descending degree then label,
+    so each position after the first is pinned by an earlier image whenever
+    the pattern allows it.
+    """
+    order = [first]
+    rest = sorted((a for a in range(f.n) if a != first), key=lambda a: (-f.degree(a), a))
+    while rest:
+        a = max(rest, key=lambda v: sum(f.has_edge(v, o) for o in order))
+        rest.remove(a)
+        order.append(a)
+    return tuple(
+        tuple(p for p in range(pos) if f.has_edge(a, order[p]))
+        for pos, a in enumerate(order)
+    )
+
+
+def _embed(rows: list[int], back, pos: int, image: list[int], used: int, within: int) -> bool:
+    """True iff images for positions pos.. extend image[:pos] to a copy in within."""
+    if pos == len(back):
+        return True
+    cand = within & ~used
+    for p in back[pos]:
+        cand &= rows[image[p]]
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        image[pos] = b.bit_length() - 1
+        if _embed(rows, back, pos + 1, image, used | b, within):
+            return True
+    return False
+
+
 def contains_subgraph(g: Graph, f: Graph, *, within: int | None = None) -> bool:
     """True iff g has a (not necessarily induced) copy of f.
 
@@ -143,29 +179,8 @@ def contains_subgraph(g: Graph, f: Graph, *, within: int | None = None) -> bool:
         within = g.full_mask
     if within.bit_count() < f.n:
         return False
-    # order pattern vertices by descending degree, ties by label
-    order = sorted(range(f.n), key=lambda a: (-f.degree(a), a))
-    back = []  # for each position, pattern neighbors at earlier positions
-    for pos, a in enumerate(order):
-        back.append([p for p in range(pos) if f.has_edge(a, order[p])])
-
-    image = [0] * f.n  # g-vertex chosen for each position
-
-    def extend(pos: int, used: int) -> bool:
-        if pos == f.n:
-            return True
-        cand = within & ~used
-        for p in back[pos]:
-            cand &= g.rows[image[p]]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            image[pos] = b.bit_length() - 1
-            if extend(pos + 1, used | b):
-                return True
-        return False
-
-    return extend(0, 0)
+    first = min(range(f.n), key=lambda a: (-f.degree(a), a))
+    return _embed(g.rows, _pattern_back(f, first), 0, [0] * f.n, 0, within)
 
 
 def max_pattern_free(
@@ -179,16 +194,21 @@ def max_pattern_free(
 
     With f a complete graph this computes the same result as
     max_clique_free, through a general subgraph matcher instead of the
-    clique recursion.
+    clique recursion.  The chosen set is always F-free, so a new copy must
+    use the new vertex: the test pins each pattern vertex to it in turn,
+    with one matching plan per pinned vertex built once per solve.
     """
     if f.n < 1 or f.edge_count() == 0:
         raise ValueError("pattern must have at least one edge")
-    return _max_free(
-        g,
-        lambda chosen, b: contains_subgraph(g, f, within=chosen | b),
-        node_limit,
-        at_least,
-    )
+    rows = g.rows
+    plans = tuple(dict.fromkeys(_pattern_back(f, a) for a in range(f.n)))
+    image = [0] * f.n
+
+    def makes_copy(chosen: int, b: int) -> bool:
+        image[0] = b.bit_length() - 1
+        return any(_embed(rows, back, 1, image, b, chosen | b) for back in plans)
+
+    return _max_free(g, makes_copy, node_limit, at_least)
 
 
 # -- defect structures --------------------------------------------------------

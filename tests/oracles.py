@@ -237,6 +237,30 @@ def contains_pattern_brute(
     return False
 
 
+
+def alpha_pattern_free(gn: int, gedges: frozenset, fn: int, fedges: frozenset) -> int:
+    """Largest vertex set of g holding no copy of f, by scanning all 2^gn sets.
+
+    A set holds a copy iff it contains one of the fn-sets that holds a copy,
+    and those are found once by brute force over vertex tuples.
+    """
+    from itertools import permutations
+
+    felist = [tuple(sorted(e)) for e in fedges]
+    bad = []
+    for sub in combinations(range(gn), fn):
+        if any(
+            all(frozenset((img[u], img[v])) in gedges for u, v in felist)
+            for img in permutations(sub)
+        ):
+            bad.append(sum(1 << v for v in sub))
+    best = 0
+    for m in range(1 << gn):
+        size = bin(m).count("1")
+        if size > best and not any(b & m == b for b in bad):
+            best = size
+    return best
+
 # -- divisor-staircase breakpoints ---------------------------------------------
 
 

@@ -41,12 +41,27 @@ def test_census_fixed_cases():
 
 
 def test_census_witnesses_match_bruteforce():
-    for seed in (1, 2, 3):
-        g = sample_graph(9, seed)
-        en = edge_set(9, g.edges())
-        got = census(g, 4, 2, witnesses=True)
-        assert got.witnesses == subsets_witnesses(9, en, 4, 2)
-        assert got.witnesses_complete
+    # budgets 0..3, candidate masks, and k at both ends of the ground set
+    for n, seed in ((7, 1), (9, 1), (9, 2), (9, 3), (10, 3), (11, 4)):
+        g = sample_graph(n, seed)
+        en = edge_set(n, g.edges())
+        for cand in (g.full_mask, g.full_mask & 0b10110111011, g.full_mask >> 2):
+            nn = cand.bit_count()
+            for k in sorted({0, 1, 2, 3, 4, nn, nn + 1}):
+                for budget in range(4):
+                    got = census(g, k, budget, candidates=cand, witnesses=True)
+                    want = [
+                        (m, e) for m, e in subsets_witnesses(n, en, k, budget)
+                        if not m & ~cand
+                    ]
+                    assert got.witnesses == want, (n, seed, cand, k, budget)
+                    assert got.witnesses_complete
+                    counts = {}
+                    for _, e in want:
+                        counts[e] = counts.get(e, 0) + 1
+                    assert got.counts == counts
+                    if cand == g.full_mask:
+                        assert got.counts == subsets_census(n, en, k, budget)
 
 
 def test_census_counts_keyed_by_exact_edge_count():
@@ -138,3 +153,91 @@ def test_cover_family_witness_overflow():
     g = Graph.from_edges(40, [(0, 1)])
     with pytest.raises(NodeLimitError, match="witnesses"):
         cover_family(g, 0, 1, 3, witness_cap=5)
+
+
+# -- the bit-sliced kernel ----------------------------------------------------------
+
+
+# counts by exact edge count 0..i+2 at the c07 points (n, k, i), on
+# sample_graph(n, seed) for seeds 0..19, recorded with the stack-loop kernel
+C07_COUNTS = {
+    (30, 7, 0): [
+        (0, 6, 84), (2, 26, 272), (0, 0, 26), (0, 4, 85), (0, 0, 14),
+        (0, 1, 50), (2, 33, 252), (0, 8, 74), (0, 6, 126), (0, 1, 45),
+        (0, 2, 35), (0, 15, 188), (0, 9, 208), (0, 17, 90), (0, 21, 331),
+        (0, 0, 11), (0, 1, 79), (0, 18, 276), (6, 90, 555), (0, 8, 118),
+    ],
+    (32, 7, 0): [
+        (0, 7, 91), (2, 29, 307), (0, 1, 47), (0, 4, 93), (0, 1, 32),
+        (0, 4, 105), (2, 34, 270), (0, 12, 158), (0, 14, 272), (1, 9, 131),
+        (0, 4, 42), (0, 19, 333), (0, 9, 215), (0, 18, 101), (0, 27, 411),
+        (0, 2, 47), (0, 3, 119), (1, 31, 376), (8, 100, 728), (0, 45, 436),
+    ],
+    (34, 8, 1): [
+        (0, 0, 1, 19), (0, 3, 14, 136), (0, 0, 0, 4), (0, 5, 58, 393),
+        (0, 0, 1, 24), (0, 0, 16, 91), (0, 3, 29, 222), (0, 0, 1, 28),
+        (0, 0, 5, 146), (0, 0, 4, 46), (0, 0, 0, 10), (0, 0, 15, 199),
+        (0, 0, 1, 61), (0, 0, 5, 33), (0, 0, 5, 160), (0, 0, 0, 5),
+        (0, 0, 5, 81), (0, 1, 21, 143), (0, 4, 68, 542), (0, 0, 12, 163),
+    ],
+}
+
+
+@pytest.mark.parametrize("point", sorted(C07_COUNTS))
+def test_census_counts_at_c07_points(point):
+    n, k, i = point
+    for seed, want in enumerate(C07_COUNTS[point]):
+        g = sample_graph(n, seed)
+        wide = census(g, k, i + 2)
+        assert tuple(wide.count(e) for e in range(i + 3)) == want, seed
+        assert set(wide.counts) <= set(range(i + 3))
+        assert census(g, k, i).counts == {e: c for e, c in wide.counts.items() if e <= i}
+
+
+def test_census_witness_cap_keeps_the_walks_first_witnesses():
+    # recorded with the stack-loop kernel: the first witness_cap k-sets in
+    # ascending position order (degree, then label), then sorted by mask
+    g = sample_graph(12, 5)
+    got = census(g, 4, 2, witnesses=True, witness_cap=25)
+    assert got.total == 38 and not got.witnesses_complete
+    assert got.witnesses == [
+        (85, 2), (519, 2), (525, 2), (533, 1), (540, 2), (549, 2), (564, 2),
+        (581, 2), (596, 2), (2061, 2), (2069, 2), (2076, 1), (2132, 2),
+        (2565, 1), (2572, 1), (2577, 2), (2580, 0), (2584, 2), (2596, 2),
+        (2608, 2), (2640, 2), (3084, 1), (3092, 2), (3588, 2), (3600, 2),
+    ]
+    g = sample_graph(16, 9)
+    cand = g.full_mask & ~0b100000100010
+    got = census(g, 5, 3, candidates=cand, witnesses=True, witness_cap=30)
+    assert got.total == 161 and not got.witnesses_complete
+    assert got.witnesses == [
+        (1053, 3), (1101, 3), (1165, 2), (1221, 3), (1293, 2), (1413, 3),
+        (1549, 2), (1605, 3), (1669, 2), (9229, 2), (9237, 3), (9349, 3),
+        (9733, 3), (17421, 1), (17477, 3), (17541, 3), (17925, 2),
+        (17929, 2), (17985, 3), (18049, 3), (25605, 2), (26113, 2),
+        (33805, 2), (33813, 3), (33925, 3), (34309, 2), (34321, 3),
+        (41989, 2), (50181, 2), (50689, 2),
+    ]
+
+
+def test_census_budget_beyond_pair_count():
+    for seed in (0, 1, 2):
+        g = sample_graph(12, seed)
+        huge = census(g, 4, 10 ** 6)
+        assert huge.counts == census(g, 4, 6).counts
+        assert huge.total == 495
+        assert huge.budget == 10 ** 6
+
+
+def test_census_node_limit_partial_holds_tallies_so_far():
+    g = sample_graph(16, 4)
+    full = census(g, 5, 2, witnesses=True)
+    with pytest.raises(NodeLimitError) as exc:
+        census(g, 5, 2, witnesses=True, node_limit=full.nodes // 2)
+    part = exc.value.partial
+    assert not part.witnesses_complete
+    assert 0 < part.total < full.total
+    assert all(part.count(e) <= full.count(e) for e in part.counts)
+    assert part.witnesses == sorted(part.witnesses)
+    assert set(part.witnesses) <= set(full.witnesses)
+    assert len(part.witnesses) == part.total

@@ -92,6 +92,21 @@ def test_solve_node_limit_exit_code(tmp_path, capsys):
     assert len(partial["witness"]) == partial["size"]
 
 
+def test_structure_census_node_limit_partial_is_incomplete(capsys):
+    args = ["structure", "--n", "18", "--r", "2", "--j", "1", "--k", "4",
+            "--node-limit", "3"]
+    assert run(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "node_limit"
+    assert err["nodes"] > 3
+    partial = err["partial"]
+    assert partial["witnesses_complete"] is False
+    assert partial["k"] == 5
+    assert partial["total"] == len(partial["witnesses"])
+
+
 def test_solve_missing_file(capsys):
     assert run(["solve", "--in", "/nonexistent/g6", "--q", "3"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] in (

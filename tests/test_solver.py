@@ -20,6 +20,7 @@ from cliquefree.solver import (
 
 from oracles import (
     alpha_clique_free,
+    alpha_pattern_free,
     contains_pattern_brute,
     edge_set,
     max_clique_size_in,
@@ -207,6 +208,16 @@ def test_max_pattern_free_path_pattern():
         assert res.size == _brute_pattern_free(g, path), seed
         assert not contains_subgraph(g, path, within=res.witness)
 
+
+
+def test_max_pattern_free_five_cycle_matches_bruteforce():
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for n, seed in ((9, 0), (10, 1), (11, 2), (12, 3), (12, 4)):
+        g = sample_graph(n, seed)
+        res = max_pattern_free(g, c5)
+        assert res.size == alpha_pattern_free(n, _edges(g), 5, _edges(c5)), (n, seed)
+        assert res.witness.bit_count() == res.size
+        assert not contains_subgraph(g, c5, within=res.witness)
 
 def test_max_pattern_free_validation():
     g = Graph.empty(4)
