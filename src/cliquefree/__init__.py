@@ -19,7 +19,7 @@ from .critical import (
     log_partite_count,
     partite_exponent_residual,
 )
-from .enumeration import PartiteCensus, distance_to_r_partite, partite_census
+from .enumeration import PartiteCensus, partite_census
 from .errors import (
     CliquefreeError,
     Graph6Error,
@@ -42,21 +42,16 @@ from .graphs import (
     format_edge_list,
     graph6_decode,
     graph6_encode,
-    is_light,
     mask_to_vertices,
     parse_edge_list,
     read_graph,
     sample_graph,
     vertices_to_mask,
-    weakly_covers,
 )
 from .logmath import (
     LogValue,
-    critical_probabilities,
-    defect_ratio,
     expected_defect_sets,
     expected_independent_sets,
-    janson_lower_tail,
     log_binomial,
     overlap_sum,
     poisson_pmf,
@@ -85,7 +80,6 @@ from .solver import (
 from .thresholds import (
     PredictedPmf,
     ThresholdTable,
-    defect_onset,
     level,
     level_threshold,
     predicted_interval,

@@ -16,7 +16,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph
 from .rng import stream_block, sub_seed
 
 _FULL_SWEEP_MAX_BITS = 24
@@ -153,34 +152,3 @@ def partite_census(
         m=m, r=r, mode="sample", total=sample_size,
         clique_free=freec, distance_histogram=hist, seed=seed,
     )
-
-
-def distance_to_r_partite(g: Graph, r: int) -> int:
-    """Minimum edge deletions leaving an r-colorable graph (exact).
-
-    Cost grows as r^(n-1); intended for pattern-sized graphs.
-    """
-    if r < 1:
-        raise ValueError("r must be positive")
-    n = g.n
-    if n <= 1:
-        return 0
-    if r ** (n - 1) > _MAX_COLORINGS:
-        raise ValueError("graph too large for exact distance computation")
-    edges = list(g.edges())
-    best = len(edges)
-    c = [0] * n
-    # vertex 0 keeps color 0: color classes are unordered
-    def scan(v: int):
-        nonlocal best
-        if v == n:
-            mono = sum(1 for u, w in edges if c[u] == c[w])
-            if mono < best:
-                best = mono
-            return
-        for col in range(r):
-            c[v] = col
-            scan(v + 1)
-        c[v] = 0
-    scan(1)
-    return best

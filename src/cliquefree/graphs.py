@@ -15,6 +15,7 @@ one-shot sample exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -179,36 +180,6 @@ def covers_edge(g: Graph, mask: int, u: int, v: int) -> bool:
     return mask & g.rows[u] & g.rows[v] == 0
 
 
-def _floor_root(x: int, d: int) -> int:
-    """floor(x^(1/d)) in exact integer arithmetic.
-
-    Float powers truncate wrong at perfect powers, e.g. int(27 ** (2/3))
-    is 8, so fractional-exponent floors go through here instead.
-    """
-    if x < 0 or d < 1:
-        raise ValueError("nonnegative base and positive degree required")
-    r = int(round(x ** (1.0 / d))) if x else 0
-    while r ** d > x:
-        r -= 1
-    while (r + 1) ** d <= x:
-        r += 1
-    return r
-
-
-def is_light(g: Graph, mask: int) -> bool:
-    """Edge count of the induced subgraph at most floor(|mask|^(3/4))."""
-    k = mask.bit_count()
-    return g.edges_within(mask) <= _floor_root(k ** 3, 4)
-
-
-def weakly_covers(g: Graph, mask: int, u: int, v: int) -> bool:
-    """At most floor(|mask|^(2/3)) vertices of mask adjacent to both u, v."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    k = mask.bit_count()
-    return (mask & g.rows[u] & g.rows[v]).bit_count() <= _floor_root(k ** 2, 3)
-
-
 # -- deterministic sampling ------------------------------------------------
 
 
@@ -222,22 +193,42 @@ def edge_coins(n: int, seed: int) -> np.ndarray:
 
 def sample_graph(n: int, seed: int) -> Graph:
     """Uniform random graph (edge probability 1/2), fully seed-determined."""
-    bits = edge_coins(n, seed)
-    if n <= 1:
-        return Graph(n, [0] * n, validate=False)
-    v_of_t = np.repeat(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
-    starts = np.arange(n, dtype=np.int64)
-    starts = (starts * (starts - 1)) // 2
-    u_of_t = np.arange(len(bits), dtype=np.int64) - starts[v_of_t]
+    return Graph(n, _rows_from_pair_bits(n, edge_coins(n, seed)), validate=False)
+
+
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, u) index arrays of the pairs u < v, listed in pair_index order.
+
+    np.tril_indices(n, -1) walks the strict lower triangle row by row, so
+    it yields (v, u) v-major with ascending u: exactly (max, min) order.
+    The arrays are cached and read-only because every caller shares them.
+    """
+    v, u = np.tril_indices(n, -1)
+    v.flags.writeable = False
+    u.flags.writeable = False
+    return v, u
+
+
+def _rows_from_pair_bits(n: int, bits: np.ndarray) -> list[int]:
+    """Adjacency rows of the graph whose C(n,2) edge bits are in pair_index order."""
+    v, u = _pairs(n)
     adj = np.zeros((n, n), dtype=bool)
-    idx = np.nonzero(bits)[0]
-    adj[u_of_t[idx], v_of_t[idx]] = True
+    adj[v, u] = bits
     adj |= adj.T
-    rows = [
-        int.from_bytes(np.packbits(adj[v], bitorder="little").tobytes(), "little")
-        for v in range(n)
-    ]
-    return Graph(n, rows, validate=False)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _pair_bits_from_rows(n: int, rows: tuple[int, ...]) -> np.ndarray:
+    """The inverse of _rows_from_pair_bits: bit v of row u for each pair u < v."""
+    v, u = _pairs(n)
+    width = (n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
+    ).reshape(n, width)
+    adj = np.unpackbits(packed, axis=1, bitorder="little")
+    return adj[u, v]
 
 
 class ExposureStream:
@@ -290,20 +281,11 @@ def _g6_size_bytes(n: int) -> bytes:
 
 def graph6_encode(g: Graph) -> str:
     """Canonical graph6 text for the graph (no trailing newline)."""
-    n = g.n
-    out = bytearray(_g6_size_bytes(n))
-    acc = 0
-    nbits = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | ((g.rows[u] >> v) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    bits = _pair_bits_from_rows(g.n, g.rows)
+    # six bits a byte, most significant first, zero padding at the end
+    sixes = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
+    body = (np.packbits(sixes, axis=1) >> 2) + 63
+    return (_g6_size_bytes(g.n) + body.tobytes()).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -334,25 +316,12 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6Error(
             f"graph6 body length {len(body)} does not match n={n} (need {need})"
         )
-    rows = [0] * n
-    t = 0
-    for ch in body:
-        bits = ch - 63
-        for shift in range(5, -1, -1):
-            if t >= n * (n - 1) // 2:
-                if (bits >> shift) & 1:
-                    raise Graph6Error("nonzero padding bits in graph6 body")
-                continue
-            if (bits >> shift) & 1:
-                # pair t in (max, min) order
-                v = 1
-                while v * (v + 1) // 2 <= t:
-                    v += 1
-                u = t - v * (v - 1) // 2
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            t += 1
-    return Graph(n, rows, validate=False)
+    sixes = np.frombuffer(body, dtype=np.uint8).reshape(-1, 1) - np.uint8(63)
+    bits = np.unpackbits(sixes, axis=1)[:, 2:].ravel()
+    total = n * (n - 1) // 2
+    if bits[total:].any():
+        raise Graph6Error("nonzero padding bits in graph6 body")
+    return Graph(n, _rows_from_pair_bits(n, bits[:total]), validate=False)
 
 
 # -- edge-list text ----------------------------------------------------------

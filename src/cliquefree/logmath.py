@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from scipy.special import logsumexp
-from scipy.stats import poisson as _poisson
+import numpy as np
+from scipy.special import gammaln, logsumexp, pdtrc, xlogy
 
 LN2 = math.log(2.0)
 
@@ -248,19 +247,6 @@ def expected_independent_sets(n: int, k: int) -> LogValue:
     return expected_defect_sets(n, k, 0)
 
 
-def defect_ratio(k: int, i: int) -> Fraction:
-    """Exact ratio of consecutive defect-set means at level k.
-
-    expected_defect_sets(n, k+1, i+1) / expected_defect_sets(n, k+1, i)
-    equals (C(k+1, 2) - i) / (i + 1) for every n, since the C(n, k+1) and
-    2^(-C(k+1,2)) factors cancel.
-    """
-    P = pair_count(k + 1)
-    if not 0 <= i < P:
-        raise ValueError(f"defect index {i} outside [0, {P})")
-    return Fraction(P - i, i + 1)
-
-
 def poisson_pmf(lam: float, t: int) -> float:
     """P(Poisson(lam) = t)."""
     if lam < 0:
@@ -269,7 +255,8 @@ def poisson_pmf(lam: float, t: int) -> float:
         return 0.0
     if lam == 0:
         return 1.0 if t == 0 else 0.0
-    return float(_poisson.pmf(t, lam))
+    # the formula scipy.stats.poisson.pmf evaluates, without loading scipy.stats
+    return float(np.exp(xlogy(t, lam) - gammaln(t + 1) - lam))
 
 
 def poisson_tail(lam: float, t: int) -> float:
@@ -280,7 +267,8 @@ def poisson_tail(lam: float, t: int) -> float:
         return 1.0
     if math.isinf(lam):
         return 1.0
-    return float(_poisson.sf(t - 1, lam))
+    # scipy.stats.poisson.sf(t - 1, lam) is this same call
+    return float(pdtrc(t - 1, lam))
 
 
 def overlap_sum(n: int, k: int) -> LogValue:
@@ -347,47 +335,3 @@ def stein_chen_bound(n: int, k: int, i: int) -> LogValue:
     b2 = nk * log_sum(b2_terms) if b2_terms else LogValue.zero()
 
     return 2 * (b1 + b2)
-
-
-def janson_lower_tail(mu: float, delta: float, t: float) -> float:
-    """Upper bound on P(X <= mu - t) for a sum of monotone indicators.
-
-    exp(-t^2 / (2 (mu + delta))), with delta the pairwise joint-moment sum.
-    """
-    if mu <= 0:
-        raise ValueError("mean must be positive")
-    if delta < 0:
-        raise ValueError("overlap term must be non-negative")
-    if not 0 <= t <= mu:
-        raise ValueError("deviation t must lie in [0, mean]")
-    return math.exp(-t * t / (2.0 * (mu + delta)))
-
-
-def critical_probabilities() -> tuple[float, float]:
-    """Edge-probability constants bracketing the two-point regime.
-
-    Returns (p_plus, p_minus).  p_plus = (sqrt(5) - 1) / 2 solves
-    p^2 + p = 1.  p_minus is the root in (0, 1) of
-    (1 - p) + p (1 - p)^2 = (1 - p)^(1/2), located by bisection on
-    [0.1, 0.9] to residual below 1e-12.
-    """
-    p_plus = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(p: float) -> float:
-        q = 1.0 - p
-        return q + p * q * q - math.sqrt(q)
-
-    lo, hi = 0.1, 0.9
-    flo = f(lo)
-    if not (flo > 0 > f(hi)):
-        raise AssertionError("bisection bracket lost")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    p_minus = 0.5 * (lo + hi)
-    if abs(f(p_minus)) > 1e-12:
-        raise AssertionError("root residual too large")
-    return p_plus, p_minus

@@ -400,9 +400,7 @@ def verify_structure(g: Graph, s: DefectStructure) -> bool:
             small_count += 1
         elif len(actual) != mu + 1:
             return False
-    if small_count != xi and j != xi:
-        return False
-    if j == xi and small_count != j:
+    if small_count != xi:
         return False
 
     all_defects = []

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ThresholdChainError
-from .logmath import LogValue, expected_defect_sets, expected_independent_sets
+from .logmath import (
+    LogValue,
+    expected_defect_sets,
+    expected_independent_sets,
+    poisson_tail,
+)
 from .profiles import breakpoint_profile, mu_xi
 
 _MIN_LEVEL = 3
@@ -85,25 +90,6 @@ def level(n: int) -> int:
     while level_threshold(k + 1) <= n:
         k += 1
     return k
-
-
-def defect_onset(n: int, k: int | None = None) -> int:
-    """Smallest defect count already abundant at n, one level up.
-
-    Returns the least i with E[Z_{k+1,i}](n) > ln(k+1) (strict).  When k is
-    omitted it is taken to be level(n); an explicit k must satisfy
-    level_threshold(k) <= n <= level_threshold(k+1).
-    """
-    if k is None:
-        k = level(n)
-    elif not level_threshold(k) <= n <= level_threshold(k + 1):
-        raise ValueError(f"n={n} outside the level-{k} window")
-    target = LogValue.from_number(math.log(k + 1))
-    cap = (k + 1) * k // 2
-    for i in range(cap + 1):
-        if expected_defect_sets(n, k + 1, i) > target:
-            return i
-    raise AssertionError("no abundant defect count below the pair count")
 
 
 @dataclass(frozen=True)
@@ -270,8 +256,6 @@ class PredictedPmf:
 
 def predicted_pmf(n: int, r: int) -> PredictedPmf:
     """Tail-difference prediction for the distribution of the maximum size."""
-    from .logmath import poisson_tail
-
     k = level(n)
     if r < 1:
         raise ValueError("r must be positive")

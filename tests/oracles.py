@@ -75,6 +75,26 @@ def edge_set(n: int, pairs) -> frozenset:
     return frozenset(frozenset(p) for p in pairs)
 
 
+def graph6_from_definition(n: int, edges: frozenset) -> str:
+    """graph6 text written straight from the format description.
+
+    N(n) is the byte n + 63 for n <= 62; otherwise the byte 126, then n in
+    18 bits as three six-bit groups, most significant first, each + 63.
+    R(x) lists the upper triangle column by column, x(0,1), x(0,2), x(1,2),
+    x(0,3), ..., pads it with zeros on the right to a multiple of six bits
+    and writes each six-bit group, big-endian, + 63.
+    """
+    if n <= 62:
+        size = chr(n + 63)
+    else:
+        size = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    x = "".join(
+        "1" if frozenset((i, j)) in edges else "0" for j in range(n) for i in range(j)
+    )
+    x += "0" * (-len(x) % 6)
+    return size + "".join(chr(int(x[p:p + 6], 2) + 63) for p in range(0, len(x), 6))
+
+
 def subsets_census(n: int, edges: frozenset, k: int, budget: int) -> dict:
     """Counts of k-subsets by induced edge count, exhaustively."""
     counts: dict = {}

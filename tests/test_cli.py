@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliquefree
 from cliquefree.cli import run
 from cliquefree.graphs import Graph, format_edge_list, graph6_encode, sample_graph
 from cliquefree.solver import max_clique_free
@@ -262,3 +267,16 @@ def test_domain_error_exit_code(capsys):
     assert run(["thresholds", "--k", "3", "--r", "2"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took about a second to import, paid by every CLI process
+    src = str(Path(cliquefree.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, cliquefree.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -7,10 +7,9 @@ import pytest
 
 from cliquefree.enumeration import (
     PartiteCensus,
-    distance_to_r_partite,
     partite_census,
 )
-from cliquefree.graphs import Graph, sample_graph
+from cliquefree.graphs import sample_graph
 from cliquefree.rng import pair_index, sub_seed
 
 from oracles import (
@@ -130,32 +129,3 @@ def test_census_as_dict_and_nan_fraction():
         m=3, r=2, mode="sample", total=1, clique_free=0, distance_histogram={}
     )
     assert math.isnan(empty.exact_partite_fraction)
-
-
-# -- exact partite distance --------------------------------------------------------
-
-
-def test_distance_known_values():
-    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert distance_to_r_partite(c5, 2) == 1
-    assert distance_to_r_partite(c5, 3) == 0
-    assert distance_to_r_partite(Graph.complete(4), 3) == 1
-    assert distance_to_r_partite(Graph.complete(4), 2) == 2
-    assert distance_to_r_partite(Graph.empty(6), 2) == 0
-    assert distance_to_r_partite(Graph.empty(0), 2) == 0
-    assert distance_to_r_partite(Graph.empty(1), 2) == 0
-
-
-def test_distance_matches_bruteforce():
-    for seed in range(12):
-        g = sample_graph(6, seed)
-        en = edge_set(6, g.edges())
-        for r in (2, 3):
-            assert distance_to_r_partite(g, r) == distance_to_partite_brute(6, en, r)
-
-
-def test_distance_validation():
-    with pytest.raises(ValueError, match="positive"):
-        distance_to_r_partite(Graph.empty(3), 0)
-    with pytest.raises(ValueError, match="too large"):
-        distance_to_r_partite(Graph.empty(24), 2)

@@ -1,5 +1,7 @@
 """Tests for the bitmask graph type, sampling, and the two text formats."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,17 +17,15 @@ from cliquefree.graphs import (
     format_edge_list,
     graph6_decode,
     graph6_encode,
-    is_light,
     mask_to_vertices,
     parse_edge_list,
     read_graph,
     sample_graph,
     vertices_to_mask,
-    weakly_covers,
 )
 from cliquefree.rng import TEST_SEED, pair_index, stream_at
 
-from oracles import edge_set
+from oracles import edge_set, graph6_from_definition
 
 
 def small_graphs():
@@ -156,40 +156,6 @@ def test_covers_edge():
         covers_edge(g, 0b0001, 0, 1)
 
 
-def test_is_light_boundary():
-    # |mask| = 5 gives bound floor(5^(3/4)) = 3
-    edges = [(0, 1), (1, 2), (2, 3)]
-    g3 = Graph.from_edges(5, edges)
-    g4 = Graph.from_edges(5, edges + [(3, 4)])
-    mask = 0b11111
-    assert is_light(g3, mask)
-    assert not is_light(g4, mask)
-
-
-def test_is_light_exact_power_boundary():
-    # floor(16^(3/4)) = 8 exactly; a float pow must not round it to 7
-    g = Graph.from_edges(16, [(i, i + 1) for i in range(8)])
-    assert g.edge_count() == 8
-    assert is_light(g, (1 << 16) - 1)
-
-
-def test_weakly_covers_boundary():
-    # hub-and-spokes: common neighborhood of (0, 1) inside the mask is
-    # exactly the spokes; |mask| = 27 gives bound floor(27^(2/3)) = 9
-    n = 29
-    spokes = list(range(2, 2 + 10))
-    edges = [(0, 1)]
-    for s in spokes:
-        edges += [(0, s), (1, s)]
-    g = Graph.from_edges(n, edges)
-    mask_all = vertices_to_mask(range(2, 2 + 27))
-    assert not weakly_covers(g, mask_all, 0, 1)  # 10 common neighbors > 9
-    mask_nine = vertices_to_mask(spokes[:9]) | vertices_to_mask(range(12, 12 + 18))
-    assert weakly_covers(g, mask_nine, 0, 1)
-    with pytest.raises(ValueError, match="not an edge"):
-        weakly_covers(g, 0, 2, 3)
-
-
 # -- seeded sampling -----------------------------------------------------------
 
 
@@ -252,6 +218,18 @@ def test_graph6_roundtrip_sizes():
             assert len(text) == 1 + (n * (n - 1) // 2 + 5) // 6
         else:
             assert text.startswith("~")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 62, 63, 100, 511, 512])
+def test_graph6_matches_definition_oracle(n):
+    # edges drawn without the package's sampler, which shares the codec
+    rng = random.Random(n)
+    for density in (0.5, 1.0):
+        pairs = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+        g = Graph.from_edges(n, pairs)
+        text = graph6_from_definition(n, edge_set(n, pairs))
+        assert graph6_encode(g) == text
+        assert graph6_decode(text) == g
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ from cliquefree.logmath import (
 )
 from cliquefree.thresholds import (
     ThresholdTable,
-    defect_onset,
     level,
     level_threshold,
     predicted_interval,
@@ -79,31 +78,6 @@ def test_level_window_property():
 def test_level_validation():
     with pytest.raises(ValueError):
         level(4)
-
-
-def test_defect_onset_known_values():
-    # hand calculations: E[Z_{6,1}](14) = 1.3746 < ln 6 < E[Z_{6,2}](14),
-    # E[Z_{6,1}](21) = 24.84 > ln 6, and at n=51 (level 8) the count
-    # E[Z_{9,1}](51) = 1.5938 < ln 9 < E[Z_{9,2}](51) = 27.89.
-    assert defect_onset(14) == 2
-    assert defect_onset(21) == 1
-    assert defect_onset(51) == 2
-
-
-def test_defect_onset_explicit_level():
-    # window is inclusive on the right: n == level_threshold(k+1) is allowed
-    assert defect_onset(22, k=5) == 0
-    with pytest.raises(ValueError):
-        defect_onset(21, k=6)
-    with pytest.raises(ValueError):
-        defect_onset(33, k=5)
-
-
-def test_defect_onset_grows_past_small_levels():
-    # low-defect sets stop being abundant at the level start once k is
-    # moderately large; onset >= 2 means even one-edge defects are rare
-    for k in (8, 10, 12):
-        assert defect_onset(level_threshold(k)) >= 2
 
 
 def _raw_certificates(table: ThresholdTable):
