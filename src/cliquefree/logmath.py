@@ -3,9 +3,11 @@
 The first-moment quantities this package works with (numbers of vertex
 subsets weighted by powers of 1/2) overflow floats long before the
 parameter ranges of interest are reached, so everything here is carried
-as a sign plus the natural log of the magnitude.  ``LogValue`` implements
-exact-zero-aware signed arithmetic on that representation; the module
-functions build the specific first-moment formulas on top of it.
+as the natural log of the value.  Every such quantity is a sum or product
+of non-negative terms, so ``LogValue`` holds only non-negative numbers:
+zero is ``ln = -inf``, and ``log_sum`` is the one place that drops zero
+terms.  The module functions build the specific first-moment formulas on
+top of it.
 
 Conventions:
 
@@ -34,174 +36,78 @@ _EXACT_LGAMMA_LIMIT = 1 << 40  # above this, lgamma differences cancel catastrop
 _LOGSUM_TERM_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LogValue:
-    """A real number stored as (sign, ln|value|).
+    """A non-negative real number stored as ln(value); zero is ``-inf``."""
 
-    ``sign`` is -1, 0 or +1; ``ln`` is ``-inf`` exactly when ``sign`` is 0.
-    """
-
-    sign: int
     ln: float
 
     @staticmethod
     def zero() -> "LogValue":
-        return LogValue(0, float("-inf"))
+        return LogValue(-math.inf)
 
     @staticmethod
     def one() -> "LogValue":
-        return LogValue(1, 0.0)
-
-    @staticmethod
-    def from_ln(ln: float, sign: int = 1) -> "LogValue":
-        if sign == 0 or ln == float("-inf"):
-            return LogValue.zero()
-        return LogValue(1 if sign > 0 else -1, float(ln))
+        return LogValue(0.0)
 
     @staticmethod
     def from_number(x) -> "LogValue":
         if isinstance(x, LogValue):
             return x
-        if x == 0:
-            return LogValue.zero()
-        if isinstance(x, int):
+        if isinstance(x, int) and x > 0:
             # bit_length scaling keeps huge ints out of float range
-            sign = 1 if x > 0 else -1
-            ax = abs(x)
-            shift = max(ax.bit_length() - 53, 0)
-            return LogValue(sign, math.log(ax >> shift if shift else ax) + shift * LN2)
+            shift = max(x.bit_length() - 53, 0)
+            return LogValue(math.log(x >> shift if shift else x) + shift * LN2)
         xf = float(x)
-        if math.isnan(xf) or math.isinf(xf):
-            raise ValueError("LogValue requires a finite number")
-        return LogValue(1 if xf > 0 else -1, math.log(abs(xf)))
+        if not 0.0 <= xf < math.inf:
+            raise ValueError("LogValue requires a finite non-negative number")
+        return LogValue(math.log(xf)) if xf else LogValue.zero()
 
-    # -- arithmetic ---------------------------------------------------
+    @property
+    def sign(self) -> int:
+        return 0 if self.ln == -math.inf else 1
 
     def __mul__(self, other) -> "LogValue":
-        o = LogValue.from_number(other)
-        if self.sign == 0 or o.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * o.sign, self.ln + o.ln)
+        return LogValue(self.ln + LogValue.from_number(other).ln)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "LogValue":
-        o = LogValue.from_number(other)
-        if o.sign == 0:
-            raise ZeroDivisionError("LogValue division by zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * o.sign, self.ln - o.ln)
-
     def __add__(self, other) -> "LogValue":
-        o = LogValue.from_number(other)
-        if self.sign == 0:
-            return o
-        if o.sign == 0:
-            return self
-        if self.sign == o.sign:
-            hi, lo = (self.ln, o.ln) if self.ln >= o.ln else (o.ln, self.ln)
-            return LogValue(self.sign, hi + math.log1p(math.exp(lo - hi)))
-        # opposite signs: larger magnitude wins
-        if self.ln == o.ln:
-            return LogValue.zero()
-        if self.ln > o.ln:
-            return LogValue(self.sign, self.ln + math.log1p(-math.exp(o.ln - self.ln)))
-        return LogValue(o.sign, o.ln + math.log1p(-math.exp(self.ln - o.ln)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LogValue":
-        return self + (-LogValue.from_number(other))
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.ln)
-
-    def __abs__(self) -> "LogValue":
-        return LogValue(abs(self.sign), self.ln)
+        o = LogValue.from_number(other).ln
+        hi, lo = (self.ln, o) if self.ln >= o else (o, self.ln)
+        if lo == -math.inf:
+            return LogValue(hi)
+        return LogValue(hi + math.log1p(math.exp(lo - hi)))
 
     def __pow__(self, e: int) -> "LogValue":
         if not isinstance(e, int):
             raise TypeError("LogValue powers must be integers")
-        if self.sign == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 ** non-positive power")
-            return LogValue.zero()
-        sign = self.sign if e % 2 else abs(self.sign)
-        return LogValue(sign, self.ln * e)
-
-    # -- comparisons --------------------------------------------------
-
-    def _key(self):
-        # monotone order key: sign-major, magnitude-minor
-        return (self.sign, self.sign * self.ln if self.sign else 0.0)
-
-    def __lt__(self, other):
-        return self._key() < LogValue.from_number(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= LogValue.from_number(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > LogValue.from_number(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= LogValue.from_number(other)._key()
-
-    def __eq__(self, other):
-        try:
-            o = LogValue.from_number(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self._key() == o._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    # -- conversions --------------------------------------------------
+        if self.ln == -math.inf and e <= 0:
+            raise ZeroDivisionError("0 ** non-positive power")
+        return LogValue(self.ln * e)
 
     def to_float(self) -> float:
-        """Nearest float; overflows to +-inf rather than raising."""
-        if self.sign == 0:
-            return 0.0
+        """Nearest float; overflows to inf rather than raising."""
         try:
-            return self.sign * math.exp(self.ln)
+            return math.exp(self.ln)
         except OverflowError:
-            return self.sign * float("inf")
-
-    __float__ = to_float
-
-    @property
-    def log2(self) -> float:
-        if self.sign < 0:
-            raise ValueError("log2 of a negative LogValue")
-        return self.ln / LN2
-
-    def __repr__(self):
-        if self.sign == 0:
-            return "LogValue(0)"
-        return f"LogValue({'+' if self.sign > 0 else '-'}exp({self.ln:.6g}))"
+            return math.inf
 
 
 def two_pow(e: float) -> LogValue:
     """2**e as a LogValue, for arbitrary real (possibly huge) exponents."""
-    return LogValue(1, float(e) * LN2)
+    return LogValue(float(e) * LN2)
 
 
 def log_sum(values: Iterable[LogValue]) -> LogValue:
-    """Sum of LogValues, stable for many terms of mixed magnitude."""
-    pos = []
-    neg = []
-    for v in values:
-        if v.sign > 0:
-            pos.append(v.ln)
-        elif v.sign < 0:
-            neg.append(v.ln)
-    if len(pos) + len(neg) > _LOGSUM_TERM_LIMIT:
+    """Sum of LogValues, stable for many terms of mixed magnitude.
+
+    Zero terms are dropped here, so callers pass their terms unfiltered.
+    """
+    lns = [v.ln for v in values if v.ln != -math.inf]
+    if len(lns) > _LOGSUM_TERM_LIMIT:
         raise ValueError("log_sum term count exceeds supported size")
-    p = LogValue.from_ln(float(logsumexp(pos))) if pos else LogValue.zero()
-    n = LogValue.from_ln(float(logsumexp(neg))) if neg else LogValue.zero()
-    return p - n
+    return LogValue(float(logsumexp(lns))) if lns else LogValue.zero()
 
 
 def log_binomial(n: int, k: int) -> LogValue:
@@ -218,7 +124,7 @@ def log_binomial(n: int, k: int) -> LogValue:
     if k == 0 or k == n:
         return LogValue.one()
     if n <= _EXACT_LGAMMA_LIMIT:
-        return LogValue.from_ln(
+        return LogValue(
             math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
         )
     m = min(k, n - k)
@@ -226,7 +132,7 @@ def log_binomial(n: int, k: int) -> LogValue:
         raise ValueError("log_binomial outside supported range (huge n with huge k)")
     nf = float(n)
     s = math.fsum(math.log(nf - i) for i in range(m)) - math.lgamma(m + 1)
-    return LogValue.from_ln(s)
+    return LogValue(s)
 
 
 def pair_count(k: int) -> int:
@@ -281,12 +187,11 @@ def overlap_sum(n: int, k: int) -> LogValue:
     if k < 1 or n < k:
         return LogValue.zero()
     P = pair_count(k)
-    terms = []
-    for j in range(1, k):
-        t = log_binomial(k, j) * log_binomial(n - k, k - j) * two_pow(pair_count(j) - 2 * P)
-        if t.sign != 0:
-            terms.append(t)
-    return log_binomial(n, k) * log_sum(terms) if terms else LogValue.zero()
+    terms = (
+        log_binomial(k, j) * log_binomial(n - k, k - j) * two_pow(pair_count(j) - 2 * P)
+        for j in range(1, k)
+    )
+    return log_binomial(n, k) * log_sum(terms)
 
 
 def stein_chen_bound(n: int, k: int, i: int) -> LogValue:
@@ -302,17 +207,13 @@ def stein_chen_bound(n: int, k: int, i: int) -> LogValue:
         return LogValue.zero()
     P = pair_count(k)
     p = log_binomial(P, i) * two_pow(-P)  # P(single k-set has exactly i edges)
-    if p.sign == 0:
-        return LogValue.zero()
     nk = log_binomial(n, k)
 
     # b1: neighborhood sizes; two k-sets are dependent iff they share >= 2
     # vertices, and each set is in its own neighborhood.
-    b1_terms = []
-    for j in range(2, k + 1):
-        t = log_binomial(k, j) * log_binomial(n - k, k - j)
-        if t.sign != 0:
-            b1_terms.append(t)
+    b1_terms = [
+        log_binomial(k, j) * log_binomial(n - k, k - j) for j in range(2, k + 1)
+    ]
     if k == 1:
         b1_terms.append(LogValue.one())  # self pair; no j >= 2 term exists
     b1 = nk * (p ** 2) * log_sum(b1_terms)
@@ -321,17 +222,12 @@ def stein_chen_bound(n: int, k: int, i: int) -> LogValue:
     b2_terms = []
     for j in range(2, k):
         Pj = pair_count(j)
-        inner = []
-        for m in range(max(0, i - (P - Pj)), min(i, Pj) + 1):
-            t = log_binomial(Pj, m) * (log_binomial(P - Pj, i - m) ** 2)
-            if t.sign != 0:
-                inner.append(t)
-        if not inner:
-            continue
+        inner = (
+            log_binomial(Pj, m) * (log_binomial(P - Pj, i - m) ** 2)
+            for m in range(max(0, i - (P - Pj)), min(i, Pj) + 1)
+        )
         joint = two_pow(Pj - 2 * P) * log_sum(inner)
-        t = log_binomial(k, j) * log_binomial(n - k, k - j) * joint
-        if t.sign != 0:
-            b2_terms.append(t)
-    b2 = nk * log_sum(b2_terms) if b2_terms else LogValue.zero()
+        b2_terms.append(log_binomial(k, j) * log_binomial(n - k, k - j) * joint)
+    b2 = nk * log_sum(b2_terms)
 
     return 2 * (b1 + b2)

@@ -39,7 +39,10 @@ def mu_xi_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     if r < 1:
         raise ValueError("r must be positive")
     j = np.arange(1, r + 1, dtype=np.int64)
-    mu = r // j - 1
+    # float r / j truncates to r // j exactly: for r < 2^52 (any array that
+    # fits in memory) its relative gap to the next integer is at least
+    # 1 / (r + j) > 2^-53, so rounding never reaches it
+    mu = (r / j).astype(np.int64) - 1
     xi = j * (mu + 2) - r
     return mu, xi
 

@@ -388,7 +388,6 @@ def verify_structure(g: Graph, s: DefectStructure) -> bool:
         return False
 
     union = 0
-    small_count = 0
     for pm, claimed in zip(s.parts, s.part_defects):
         if pm.bit_count() != k + 1 or pm & union:
             return False
@@ -396,12 +395,9 @@ def verify_structure(g: Graph, s: DefectStructure) -> bool:
         actual = _edges_of(g, pm)
         if actual != tuple(claimed):
             return False
-        if len(actual) == mu:
-            small_count += 1
-        elif len(actual) != mu + 1:
+        # no tally of mu-edge parts: a split other than xi moves the cover_edges count
+        if len(actual) not in (mu, mu + 1):
             return False
-    if small_count != xi:
-        return False
 
     all_defects = []
     for d in s.part_defects:

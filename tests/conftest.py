@@ -3,11 +3,14 @@
 Acceptance tests register a one-line verdict through record_acceptance();
 the pytest_terminal_summary hook prints the collected lines at the end of
 the run so the verdict table appears in captured output even when all
-tests pass.
+tests pass.  node_free_digest() hashes a JSON document with its search
+effort accounting removed, for goldens that a faster kernel must not move.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 _ACCEPTANCE_LINES: list[tuple[str, bool, str]] = []
@@ -27,6 +30,20 @@ class AcceptanceTimer:
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self.t0
         return False
+
+
+def _strip_nodes(doc):
+    if isinstance(doc, dict):
+        return {k: _strip_nodes(v) for k, v in doc.items() if k != "nodes"}
+    if isinstance(doc, list):
+        return [_strip_nodes(v) for v in doc]
+    return doc
+
+
+def node_free_digest(text: str) -> str:
+    """sha256 of a JSON document with every "nodes" key removed at any depth."""
+    doc = _strip_nodes(json.loads(text))
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

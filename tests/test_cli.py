@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from cliquefree.cli import run
 from cliquefree.graphs import Graph, format_edge_list, graph6_encode, sample_graph
 from cliquefree.solver import max_clique_free
 from cliquefree.thresholds import level, predicted_interval
+
+from conftest import node_free_digest
 
 
 def _json_out(capsys):
@@ -61,6 +64,64 @@ def test_predict(capsys):
     assert doc["lambda"][0] == "inf"  # sentinel for the j = 0 row
     assert doc["flagged_j"] == [1]
     assert set(doc["pmf"]) == {"14", "15", "16"}
+
+
+# sha256 of stdout, recorded when LogValue still carried signed arithmetic;
+# these pin the model output byte for byte, where the perfbench pins allow
+# a 1e-9 float tolerance.  "{c5}" is a C5 edge list written to tmp_path.
+CLI_GOLDEN = [
+    ("profile --r 11",
+     "7913c1795d16e982ec17ea62ee58e50913dfadd7c93e6dac5c7349de3b6784b1"),
+    ("thresholds --k 10 --r 2",
+     "a697cfcae837bf22cf54d8bf4b52374f805e23d9d311309cde3fd17027b90b60"),
+    ("thresholds --k 60 --r 11",
+     "7ed9fc90dd311a99425566b7fd227927288144172d1e20f28638e9727330c9de"),
+    # thresholds above 2^40 reach log_binomial's sum-of-logs path
+    ("thresholds --k 90 --r 3",
+     "b2553643db11d760a5b55686c8bdb6080e931aa67a49fb8a5ad890398fd01a3b"),
+    ("intervals --r 2 --n-from 100 --n-to 200",
+     "db440de72abf478441204f46225e2bbc88b9a147ea5bad21dab8f0001cab2846"),
+    ("predict --n 40 --r 2",
+     "443550043ba0cd07abd0a8e7fa6f5f90fd9e27bedbf118b7b288c3e040bfe69e"),
+    ("predict --n 1000 --r 3",
+     "1a34d1d38fd063d0151177cc586082ed9ee752709fd03fe096cb7c60eebd6957"),
+    ("critical --in {c5} --r 2 --n 1000",
+     "1e1f30b5e9861882970e34b4452d6f6c30b256eaca4372073959ec5ed4f6f53a"),
+    ("census-all --m 6 --r 2",
+     "01566c1f16995154df95b6e213aa8270e3074574a48fa439d169c41c90ec1caf"),
+    ("structure --n 18 --r 2 --j 1 --k 4 --seed 0",
+     "d412b7e4c65224874405dc278b26b591f3f30e68ee13f40327ea39ca61315df2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLI_GOLDEN, ids=[a for a, _ in CLI_GOLDEN])
+def test_cli_stdout_golden(argv, digest, tmp_path, capsys):
+    c5 = tmp_path / "c5.el"
+    c5_edges = [(i, (i + 1) % 5) for i in range(5)]
+    c5.write_text(format_edge_list(Graph.from_edges(5, c5_edges)))
+    assert run(argv.format(c5=c5).split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# node_free_digest of stdout on sample_graph(30, 0) as graph6; "nodes" is
+# version-specific effort accounting, everything else must not move
+NODE_FREE_GOLDEN = [
+    ("solve --q 3",
+     "297cca27a2544f2065d9d201e34d0b9f752b3ad54b6e68f5dc968e7a5dc54076"),
+    ("census-graph --k 3 --budget 1",
+     "36d9da2c304a019ce55e60175839de94a83eef7d2e5b411c67473708d4f2731b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", NODE_FREE_GOLDEN, ids=[a for a, _ in NODE_FREE_GOLDEN]
+)
+def test_kernel_stdout_node_free_golden(argv, digest, tmp_path, capsys):
+    path = tmp_path / "g30.g6"
+    path.write_text(graph6_encode(sample_graph(30, 0)) + "\n")
+    cmd, *rest = argv.split()
+    assert run([cmd, "--in", str(path), *rest]) == 0
+    assert node_free_digest(capsys.readouterr().out) == digest
 
 
 def test_solve_on_file(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Tests for the labeled-graph censuses and partite distance."""
 
 import math
-from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +9,7 @@ from cliquefree.enumeration import (
     partite_census,
 )
 from cliquefree.graphs import sample_graph
-from cliquefree.rng import pair_index, sub_seed
+from cliquefree.rng import sub_seed
 
 from oracles import (
     distance_to_partite_brute,

@@ -21,6 +21,8 @@ from cliquefree.rng import sub_seed
 from cliquefree.solver import max_clique_free
 from cliquefree.thresholds import level
 
+from conftest import node_free_digest
+
 
 # -- tv distance helper ----------------------------------------------------------
 
@@ -181,25 +183,34 @@ def test_reports_are_deterministic_and_parallel_invariant():
 # sha256 of to_json(include_rows=True), recorded before the four experiments
 # shared one replicate runner and one JSON writer; the poisson digest was
 # re-recorded when the census kernel redefined its rows' "nodes" (with every
-# row's "nodes" removed, the JSON is byte-identical to the earlier kernel's)
+# row's "nodes" removed, the JSON is byte-identical to the earlier kernel's).
+# The second digest is node_free_digest of the same JSON: a kernel change may
+# re-record the first for its "nodes" values, never the second.
 REPORT_GOLDEN = [
     (lambda w: poisson_check(14, 4, 1, reps=6, seed=3, workers=w),
-     "4c129966a2e0dbe8e16242819a61686c8dcaa7fae8627643c25a12036438be1f"),
+     "4c129966a2e0dbe8e16242819a61686c8dcaa7fae8627643c25a12036438be1f",
+     "5089c266ebd9ab37bc9399441b83723cd5e4e87cd1992d31cfa1e6c63a8e9bc7"),
     (lambda w: alpha_distribution(16, 2, reps=4, seed=5, workers=w),
-     "7a7c2987a50c9979bdce71b3d3786d57aa3c869fd8993fb3085cf6a9a22a2c3d"),
+     "7a7c2987a50c9979bdce71b3d3786d57aa3c869fd8993fb3085cf6a9a22a2c3d",
+     "2d9ac5287970added6e57868d3da5d805527318aa0b6e83ddeb2de06c7ce18b6"),
     (lambda w: hitting_times(2, 1, n_max=20, reps=4, seed=5, workers=w),
-     "1cbbb1f02b902904392ba13f961df7d9b08501067153533326da10c0fefc34c6"),
+     "1cbbb1f02b902904392ba13f961df7d9b08501067153533326da10c0fefc34c6",
+     "577a79cc5bde50d6a13eefb286ac76f4d79f74c5ff3f98a3cddad35fc13142ed"),
     (lambda w: witness_rate(18, 2, 1, reps=6, seed=7, k=4, workers=w),
-     "5ea20338abbdf7a2d7b9962b82c36e0a1cd8c498912e4de230e0ca4360a7c9db"),
+     "5ea20338abbdf7a2d7b9962b82c36e0a1cd8c498912e4de230e0ca4360a7c9db",
+     "1ed34b74060a0a7a5f144a9bcea4f2893586ea17412401765b427a94c98238d2"),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "make,digest", REPORT_GOLDEN, ids=["poisson", "alpha", "hitting", "witness"]
+    "make,digest,node_free",
+    REPORT_GOLDEN,
+    ids=["poisson", "alpha", "hitting", "witness"],
 )
-def test_report_json_golden(make, digest, workers):
+def test_report_json_golden(make, digest, node_free, workers):
     text = make(workers).to_json(include_rows=True)
+    assert node_free_digest(text) == node_free
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

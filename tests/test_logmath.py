@@ -1,5 +1,6 @@
 """Log-domain arithmetic against exact-rational and closed-form oracles."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliquefree.logmath import (
+    LN2,
     LogValue,
     expected_defect_sets,
     expected_independent_sets,
@@ -28,8 +30,7 @@ EPS = 2.0 ** -52
 def close(lv: LogValue, value: Fraction | float, rel: float = REL) -> bool:
     if value == 0:
         return lv.sign == 0
-    f = float(value)
-    return lv.sign == (1 if f > 0 else -1) and abs(lv.ln - math.log(abs(f))) <= rel
+    return lv.sign == 1 and abs(lv.ln - math.log(float(value))) <= rel
 
 
 # -- LogValue core -------------------------------------------------------------
@@ -41,56 +42,48 @@ def test_logvalue_zero_and_one():
     assert z.sign == 0 and z.to_float() == 0.0
     assert o.to_float() == 1.0
     assert (z + o).to_float() == 1.0
-    assert (o - o).sign == 0
+    assert (z + z).sign == 0
     assert (z * o).sign == 0
 
 
-def sum_tolerance(a: Fraction, b: Fraction, exact: Fraction) -> float:
-    """Absolute error allowed in la + lb or la - lb against the exact result.
+def rel_bound(a: Fraction, b: Fraction, exact: Fraction) -> float:
+    """Error allowed in la * lb or la + lb against the exact result.
 
-    Storing x as (sign, ln|x|) rounds ln|x| to one ulp, a relative error in
-    x of about eps * |ln|x||.  That error survives a sum as an absolute error
-    of order eps * max|ln| * (|a| + |b|), however small the result is, so a
-    purely relative tolerance fails on near-cancellations.  Compared with
-    a 1e-7 relative tolerance that skips results below 1e-9 * (|a| + |b|),
-    this bound is stricter inside that band, where the skip checks nothing,
-    and wider just above it.
+    Storing x as ln(x) rounds ln(x) to one ulp, a relative error in x of
+    about eps * |ln x|; sums of non-negatives never cancel, so that error
+    stays relative to the result.
     """
-    lns = [abs(math.log(abs(float(x)))) for x in (a, b) if x]
-    scale = abs(float(a)) + abs(float(b))
-    return 1e-7 * abs(float(exact)) + 4 * EPS * max([1.0, *lns]) * scale
+    lns = [abs(math.log(float(x))) for x in (a, b, exact) if x]
+    return 4 * EPS * max([1.0, *lns]) * float(exact)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.fractions(
-        min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=997
-    ),
-    st.fractions(
-        min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=997
-    ),
+    st.fractions(min_value=Fraction(0), max_value=Fraction(10**6), max_denominator=997),
+    st.fractions(min_value=Fraction(0), max_value=Fraction(10**6), max_denominator=997),
 )
 @example(Fraction(225999997, 226), Fraction(297999997, 298))
-@example(Fraction(225999997, 226), Fraction(-297999997, 298))
-@example(Fraction(1000000), Fraction(-216999999, 217))
 def test_logvalue_field_ops_match_fractions(a, b):
     la, lb = LogValue.from_number(float(a)), LogValue.from_number(float(b))
-    assert close(la * lb, a * b, 1e-9)
-    for got, exact in ((la + lb, a + b), (la - lb, a - b)):
+    for got, exact in ((la * lb, a * b), (la + lb, a + b)):
         error = abs(Fraction(got.to_float()) - exact)
-        assert error <= sum_tolerance(a, b, exact), (got, exact)
-    if b != 0:
-        assert close(la / lb, a / b, 1e-9)
+        assert error <= rel_bound(a, b, exact), (got, exact)
     assert (la < lb) == (a < b)
     assert (la >= lb) == (a >= b)
 
 
-def test_logvalue_powers_and_negation():
-    x = LogValue.from_number(-3.0)
-    assert close(x ** 3, -27.0)
+def test_logvalue_from_number_rejects_negative_and_non_finite():
+    for bad in (-1, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LogValue.from_number(bad)
+
+
+def test_logvalue_powers():
+    x = LogValue.from_number(3.0)
+    assert close(x ** 3, 27.0)
     assert close(x ** 2, 9.0)
-    assert close(-x, 3.0)
-    assert close(abs(x), 3.0)
+    assert close(x ** 0, 1.0)
+    assert (LogValue.zero() ** 2).sign == 0
     with pytest.raises(ZeroDivisionError):
         LogValue.zero() ** 0
 
@@ -101,19 +94,14 @@ def test_logvalue_from_huge_int():
 
 
 def test_two_pow_and_log2():
-    v = two_pow(100)
-    assert abs(v.log2 - 100.0) < 1e-12
-    with pytest.raises(ValueError):
-        _ = LogValue.from_number(-1.0).log2
+    assert abs(two_pow(100).ln / LN2 - 100.0) < 1e-12
 
 
-def test_log_sum_mixed_signs():
-    vals = [LogValue.from_number(x) for x in (3e5, -1e5, 2.5)]
-    assert close(log_sum(vals), 2e5 + 2.5, 1e-9)
+def test_log_sum_drops_zero_terms():
+    vals = [LogValue.from_number(x) for x in (3e5, 0.0, 1e5, 2.5)]
+    assert close(log_sum(vals), 4e5 + 2.5, 1e-9)
+    assert log_sum([LogValue.zero(), LogValue.zero()]).sign == 0
     assert log_sum([]).sign == 0
-    # exact cancellation lands on the zero element
-    x = LogValue.from_number(7.25)
-    assert log_sum([x, -x]).sign == 0
 
 
 # -- binomials ------------------------------------------------------------------
@@ -218,7 +206,7 @@ def test_stein_chen_bound_basic_shape():
     b = stein_chen_bound(10, 3, 0)
     assert b.sign == 1
     # self-pair term alone makes the bound at least 2 p^2 C(n,k)
-    p = expected_defect_sets(10, 3, 0) / log_binomial(10, 3)
+    p = two_pow(-3)  # a 3-set induces no edge with probability 2^-3
     floor = 2 * p * p * log_binomial(10, 3)
     assert b >= floor
     # degenerate defect count: probability zero, bound zero
@@ -226,3 +214,21 @@ def test_stein_chen_bound_basic_shape():
     # k = 1: bound must still dominate the (large) distance to Poisson(n)
     b1 = stein_chen_bound(7, 1, 0)
     assert b1.to_float() >= 2 * 7 * (1 - poisson_pmf(7.0, 7))
+
+
+# -- byte-level golden ----------------------------------------------------------------
+
+# sha256 of repr([(sign, ln), ...]) over the grid below, recorded when LogValue
+# still carried signed arithmetic; any one-ulp drift in the model moves it
+FIRST_MOMENT_GOLDEN = "c47bf4233d17c745dfbb403d834f1525107c2e34a037e6096a523790940a95b4"
+
+
+def test_first_moment_grid_golden():
+    values = []
+    for n in [*range(1, 25), 100, 10**3, 10**6, 10**9, 2**40 - 3, 2**40 + 3, 10**15]:
+        for k in range(11):
+            values.extend(expected_defect_sets(n, k, i) for i in range(6))
+            values.extend(stein_chen_bound(n, k, i) for i in range(-1, 5))
+            values.append(overlap_sum(n, k))
+    text = repr([(v.sign, v.ln) for v in values])
+    assert hashlib.sha256(text.encode()).hexdigest() == FIRST_MOMENT_GOLDEN

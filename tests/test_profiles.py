@@ -41,6 +41,14 @@ def test_mu_xi_table_matches_scalar():
             assert (mu[j - 1], xi[j - 1]) == mu_xi(r, j)
 
 
+def test_mu_xi_table_float_division_is_exact_floor():
+    # mu_xi_table truncates the float quotient r / j; it must equal r // j
+    for r in [*range(1, 3001), 10 ** 6]:
+        j = np.arange(1, r + 1, dtype=np.int64)
+        mu, _ = mu_xi_table(r)
+        np.testing.assert_array_equal(mu, r // j - 1)
+
+
 def test_mu_xi_validation():
     with pytest.raises(ValueError):
         mu_xi(5, 0)

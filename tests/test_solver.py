@@ -1,6 +1,7 @@
 """Tests for the exact solvers and defect-structure certificates."""
 
 import dataclasses
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -124,10 +125,14 @@ MAX_CLIQUE_FREE_GOLDEN = [
 ]
 
 
+# size and witness are node-free goldens and are never re-recorded; "nodes"
+# is version-specific effort accounting that a faster search may change
 @pytest.mark.parametrize("point,want", MAX_CLIQUE_FREE_GOLDEN)
 def test_max_clique_free_golden(point, want):
     n, seed, q = point
-    assert max_clique_free(sample_graph(n, seed), q).as_dict() == want
+    got = max_clique_free(sample_graph(n, seed), q).as_dict()
+    assert (got["size"], got["witness"]) == (want["size"], want["witness"])
+    assert got["nodes"] == want["nodes"]
 
 
 def test_max_clique_free_node_limit():
@@ -341,6 +346,28 @@ class TestVerifyRejectsCorruption:
         assert not verify_structure(
             g, dataclasses.replace(s, cover_edges=fake_edges)
         )
+
+    def test_part_with_an_extra_defect(self, good):
+        g, s = good
+        assert len(s.part_defects[0]) == s.mu
+        used = 0
+        for m in s.parts[1:] + s.covers:
+            used |= m
+        free = [v for v in range(g.n) if not used >> v & 1]
+        for verts in combinations(free, s.k + 1):
+            defects = tuple(
+                (u, v) for u, v in combinations(verts, 2) if g.has_edge(u, v)
+            )
+            if len(defects) == s.mu + 1:
+                break
+        else:
+            pytest.fail("no replacement part with mu + 1 edges")
+        bad = dataclasses.replace(
+            s,
+            parts=(vertices_to_mask(verts),) + s.parts[1:],
+            part_defects=(defects,) + s.part_defects[1:],
+        )
+        assert not verify_structure(g, bad)
 
     def test_dropped_vertex(self, good):
         g, s = good

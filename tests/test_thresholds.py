@@ -1,11 +1,9 @@
 """Tests for appearance thresholds, levels, and predicted intervals."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
-from cliquefree.errors import ThresholdChainError
 from cliquefree.logmath import (
     LogValue,
     expected_defect_sets,
