@@ -26,10 +26,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .census import census
+from .census import DEFAULT_NODE_LIMIT, census
 from .critical import chromatic_number, concentration_window, is_color_critical
 from .enumeration import partite_census
-from .errors import CliquefreeError, Graph6Error, NodeLimitError
+from .errors import CliquefreeError, NodeLimitError
 from .experiments import (
     alpha_distribution,
     dump_json,
@@ -49,7 +49,7 @@ from .thresholds import (
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="graph", required=True,
                     help="graph file (graph6 or edge list, auto-detected)")
     sp.add_argument("--q", type=int, required=True, help="forbidden clique order")
-    sp.add_argument("--node-limit", type=int, default=10 ** 9)
+    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     add_out(sp)
     sp.set_defaults(fn=_cmd_solve)
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None,
                     help="level parameter; defaults to level(n)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--node-limit", type=int, default=10 ** 9)
+    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     add_out(sp)
     sp.set_defaults(fn=_cmd_structure)
 
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--witnesses", action="store_true")
-    sp.add_argument("--node-limit", type=int, default=10 ** 9)
+    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     add_out(sp)
     sp.set_defaults(fn=_cmd_census_graph)
 
@@ -295,7 +295,7 @@ def run(argv=None) -> int:
             doc["partial"] = e.partial.as_dict()
         sys.stderr.write(dump_json(doc))
         return 3
-    except (ValueError, Graph6Error, CliquefreeError, OSError) as e:
+    except (ValueError, CliquefreeError, OSError) as e:
         sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}))
         return 2
 

@@ -1,12 +1,14 @@
 """Labeled-graph censuses over all graphs on m vertices.
 
 The full sweep enumerates every labeled graph on m vertices as an integer
-edge mask (bit t is the pair with index t in (max, min) order, matching
-the sampler's pair indexing), filters out those containing a clique on
-r+1 vertices, and histograms the exact distance to r-partiteness: the
-minimum number of edges whose deletion leaves an r-colorable graph.
-Everything is vectorized over the 2^C(m,2) masks, which caps the full
-sweep at m = 7; larger m use seeded sampling over the same kernels.
+edge mask, filters out those containing a clique on r+1 vertices, and
+histograms the exact distance to r-partiteness: the minimum number of
+edges whose deletion leaves an r-colorable graph.  Bit t of every mask is
+pair t of graphs._pairs(m), the pair order of the sampler and of graph6,
+and sample i of a sampled census is the graph sample_graph(m,
+sub_seed(seed, i)) read from the same edge coins.  Everything is
+vectorized over the masks, which caps the full sweep at m = 7; larger m
+use seeded sampling over the same kernels.
 """
 
 from __future__ import annotations
@@ -16,49 +18,50 @@ from itertools import combinations
 
 import numpy as np
 
-from .rng import stream_block, sub_seed
+from .graphs import _pairs, edge_coins
+from .rng import sub_seed
 
 _FULL_SWEEP_MAX_BITS = 24
 _MAX_COLORINGS = 4_000_000
 _SAMPLE_MAX_BITS = 63
 
 
-def _pair_bits(m: int) -> list[tuple[int, int]]:
-    """Pairs in (max, min) index order: bit t holds pair_index t."""
-    return [(u, v) for v in range(m) for u in range(v)]
+def _pack(columns, count: int) -> np.ndarray:
+    """count uint64 edge masks with bit t set where boolean column t is true."""
+    masks = np.zeros(count, dtype=np.uint64)
+    for t, column in enumerate(columns):
+        np.bitwise_or(masks, np.uint64(1 << t), out=masks, where=column)
+    return masks
+
+
+def _same_label_masks(labels: np.ndarray) -> np.ndarray:
+    """For each row of a count x m label table, the mask of the pairs whose
+    endpoints share a label, built one pair column at a time."""
+    v, u = _pairs(labels.shape[1])
+    return _pack((labels[:, a] == labels[:, b] for a, b in zip(v, u)), len(labels))
 
 
 def _clique_masks(m: int, r: int) -> np.ndarray:
-    pairs = _pair_bits(m)
-    pidx = {p: t for t, p in enumerate(pairs)}
-    masks = []
-    for cl in combinations(range(m), r + 1):
-        msk = 0
-        for u, v in combinations(cl, 2):
-            msk |= 1 << pidx[(u, v)]
-        masks.append(msk)
-    return np.array(masks, dtype=np.uint64)
+    """Each clique on r+1 vertices shares label 0; the rest have their own."""
+    cliques = np.array(list(combinations(range(m), r + 1)), dtype=np.intp)
+    labels = np.tile(np.arange(1, m + 1), (len(cliques), 1))
+    np.put_along_axis(labels, cliques.reshape(-1, r + 1), 0, axis=1)
+    return _same_label_masks(labels)
 
 
 def _mono_masks(m: int, r: int) -> np.ndarray:
-    """Within-class pair masks for every r-coloring with vertex 0 fixed."""
-    pairs = _pair_bits(m)
+    """Within-class pair masks for every r-coloring with vertex 0 fixed;
+    vertex v takes base-r digit v-1 of the coloring's index."""
     count = r ** (m - 1)
     if count > _MAX_COLORINGS:
         raise ValueError(f"r^(m-1) = {count} colorings exceed the supported cap")
-    out = np.empty(count, dtype=np.uint64)
-    for idx in range(count):
-        c = [0] * m
-        x = idx
-        for v in range(1, m):
-            c[v] = x % r
-            x //= r
-        msk = 0
-        for t, (u, v) in enumerate(pairs):
-            if c[u] == c[v]:
-                msk |= 1 << t
-        out[idx] = msk
-    return out
+    # wide enough for r labels: a byte would merge colors 256 apart
+    colors = np.zeros((count, m), dtype=np.min_scalar_type(r - 1))
+    idx = np.arange(count, dtype=np.min_scalar_type(count))
+    for v in range(1, m):
+        colors[:, v] = idx % r
+        idx //= r
+    return _same_label_masks(colors)
 
 
 @dataclass(frozen=True)
@@ -133,22 +136,18 @@ def partite_census(
                 f"m={m} has {nbits} (use sample_size)"
             )
         masks = np.arange(1 << nbits, dtype=np.uint64)
-        freec, hist = _census_kernel(masks, m, r)
-        return PartiteCensus(
-            m=m, r=r, mode="full", total=1 << nbits,
-            clique_free=freec, distance_histogram=hist,
+    else:
+        if nbits > _SAMPLE_MAX_BITS:
+            raise ValueError(f"sampling supports C(m,2) <= {_SAMPLE_MAX_BITS} bits")
+        if sample_size < 1:
+            raise ValueError("sample_size must be positive")
+        coins = np.array(
+            [edge_coins(m, sub_seed(seed, i)) for i in range(sample_size)], dtype=bool
         )
-    if nbits > _SAMPLE_MAX_BITS:
-        raise ValueError(f"sampling supports C(m,2) <= {_SAMPLE_MAX_BITS} bits")
-    if sample_size < 1:
-        raise ValueError("sample_size must be positive")
-    weights = (np.uint64(1) << np.arange(nbits, dtype=np.uint64))
-    masks = np.empty(sample_size, dtype=np.uint64)
-    for i in range(sample_size):
-        bits = stream_block(sub_seed(seed, i), 0, nbits) & np.uint64(1)
-        masks[i] = np.uint64((bits * weights).sum())
+        masks = _pack(coins.T, sample_size)
     freec, hist = _census_kernel(masks, m, r)
     return PartiteCensus(
-        m=m, r=r, mode="sample", total=sample_size,
-        clique_free=freec, distance_histogram=hist, seed=seed,
+        m=m, r=r, mode="full" if sample_size is None else "sample",
+        total=len(masks), clique_free=freec, distance_histogram=hist,
+        seed=None if sample_size is None else seed,
     )

@@ -119,14 +119,6 @@ class Graph:
             total += (self.rows[v] & mask & (b - 1)).bit_count()
         return total
 
-    def complement(self) -> "Graph":
-        full = self.full_mask
-        return Graph(
-            self.n,
-            [(full ^ r) & ~(1 << u) for u, r in enumerate(self.rows)],
-            validate=False,
-        )
-
     def subgraph(self, mask: int) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on the mask, relabeled; returns (graph, old labels)."""
         verts = mask_to_vertices(mask)

@@ -313,7 +313,7 @@ def build_structure(
         nodes += 1
         if nodes > node_limit:
             raise NodeLimitError(
-                f"structure search exceeded {node_limit} nodes", nodes
+                f"structure search exceeded {node_limit} nodes", nodes, partial=scan
             )
 
     def pick_parts(pool: list[int], start: int, need: int, used: int, acc: list[int]):

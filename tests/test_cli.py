@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import cliquefree
+from cliquefree.census import census
 from cliquefree.cli import run
+from cliquefree.experiments import dump_json
 from cliquefree.graphs import Graph, format_edge_list, graph6_encode, sample_graph
+from cliquefree.profiles import mu_xi
 from cliquefree.solver import max_clique_free
 from cliquefree.thresholds import level, predicted_interval
 
@@ -171,6 +174,22 @@ def test_structure_census_node_limit_partial_is_incomplete(capsys):
     assert partial["witnesses_complete"] is False
     assert partial["k"] == 5
     assert partial["total"] == len(partial["witnesses"])
+
+
+def test_structure_pick_node_limit_carries_scan_partial(capsys):
+    # the part scan finishes in 291 nodes; the pick loop then stops at 292
+    args = ["structure", "--n", "18", "--r", "3", "--j", "2", "--k", "4",
+            "--seed", "26", "--node-limit", "291"]
+    assert run(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "node_limit"
+    assert err["message"] == "structure search exceeded 291 nodes"
+    mu, xi = mu_xi(3, 2)
+    scan = census(sample_graph(18, 26), 5, mu + (1 if xi < 2 else 0), witnesses=True)
+    assert err["partial"] == json.loads(dump_json(scan.as_dict()))
+    assert err["partial"]["witnesses_complete"] is True
 
 
 def test_solve_missing_file(capsys):

@@ -11,6 +11,7 @@ from cliquefree.graphs import (
     MAX_VERTICES,
     ExposureStream,
     Graph,
+    _pairs,
     covers_edge,
     edge_coins,
     format_edge_list,
@@ -115,14 +116,6 @@ def test_edges_within():
     assert g.edges_within(0) == 0
 
 
-def test_complement_involution():
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 4)])
-    c = g.complement()
-    assert c.edge_count() == 15 - 4
-    assert not c.has_edge(0, 1) and c.has_edge(0, 2)
-    assert c.complement() == g
-
-
 def test_subgraph_relabels():
     g = Graph.from_edges(5, [(0, 2), (2, 4), (1, 3)])
     sub, labels = g.subgraph(vertices_to_mask([0, 2, 4]))
@@ -165,6 +158,16 @@ def test_edge_coins_match_stream():
         assert coins[t] == stream_at(TEST_SEED, t) & 1
     with pytest.raises(ValueError):
         edge_coins(MAX_VERTICES + 1, TEST_SEED)
+
+
+def test_pairs_list_pair_index_order():
+    # one pair order serves sampling, graph6 and the labeled census masks
+    for m in range(71):
+        v, u = _pairs(m)
+        assert not v.flags.writeable and not u.flags.writeable
+        assert (u < v).all()
+        got = [pair_index(int(b), int(a)) for a, b in zip(v, u)]
+        assert got == list(range(m * (m - 1) // 2)), m
 
 
 def test_sample_graph_uses_pair_index_coins():
