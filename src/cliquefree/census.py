@@ -7,19 +7,31 @@ slices[c] is the mask of later positions with exactly c chosen neighbours,
 for c up to the budget the prefix has left.  Choosing position p moves each
 of p's later neighbours up one slice; a position pushed past the remaining
 budget falls out, so no extension is tried and then rejected.  A prefix is
-pruned when its slices hold fewer positions than it still needs, the last
-level is tallied by a popcount per slice, and once the budget is spent only
-slices[0] remains and the rest of the walk is an independent-set count on
-one mask.  Listing mode runs the same walk and carries the chosen vertex
-mask down to the leaves.
+pruned when its slices hold fewer positions than it still needs, and the
+last level is tallied by a popcount per slice.
 
-Node accounting: every extension the walk takes to a prefix of at most
-k - 1 positions counts as one node.  An extension whose candidates are too
-few to complete the set is pruned before it is taken and is not counted,
-and the k-th position is tallied by popcount and adds none.  Searches
-carry a node limit and raise NodeLimitError with a partial result holding
-the tallies made so far, so runaway parameter choices fail loudly instead
-of hanging.
+Counting mode stops walking once at most one unit of budget is left.  With
+none left only slices[0] remains, and the completions are the independent
+sets of that mask, counted by one independent-set counter.  With one left,
+a completion has at most one new edge, and it splits in exactly one way
+into a core that carries the edge and an independent rest: no core, a
+position x of slices[1], or an edge uv inside slices[0], with the rest
+drawn from all of slices[0] outside the core's neighbourhood.  Each core's
+rest is counted by the same counter.  Listing mode walks every prefix and
+carries the chosen vertex mask down to the leaves, so a truncated witness
+list keeps the walk's first witnesses.
+
+Node accounting: every extension the search takes to a prefix of at most
+k - 1 positions counts as one node: in the walk, in the independent-set
+counter, and for each core position the one-unit count takes (a position
+of slices[1], an edge core's first endpoint, and its second endpoint when
+the set needs more than the core).  An extension
+whose candidates are too few to complete the set is pruned before it is
+taken and is not counted, and the k-th position is tallied by popcount and
+adds none.  Counting and listing the same census may take different node
+counts.  Searches carry a node limit and raise NodeLimitError with a
+partial result holding the tallies made so far, so runaway parameter
+choices fail loudly instead of hanging.
 """
 
 from __future__ import annotations
@@ -94,6 +106,8 @@ def census(
     """
     if k < 0 or budget < 0:
         raise ValueError("k and budget must be non-negative")
+    if node_limit < 0:
+        raise ValueError("node_limit must be non-negative")
     if candidates is None:
         candidates = g.full_mask
     candidates &= g.full_mask
@@ -166,7 +180,7 @@ def census(
             wit.append((vm | vbit[b.bit_length() - 1], e + c))
 
     def spent(cand: int, e: int, need: int, vm: int) -> None:
-        """Extend by the independent need-sets of cand: the budget is used up."""
+        """List the independent need-sets of cand: the budget is used up."""
         nonlocal nodes
         while cand.bit_count() >= need:
             b = cand & -cand
@@ -180,13 +194,95 @@ def census(
                 stop()
             if need > 2:
                 spent(sub, e, need - 1, vm | vbit[p])
-            elif wit is None:
-                tally[e] += sub.bit_count()
             else:
                 leaves([sub], sub, e, vm | vbit[p])
 
+    def independent(cand: int, need: int) -> int:
+        """Count the independent need-sets of cand, for need >= 1."""
+        nonlocal nodes
+        if need == 1:
+            return cand.bit_count()
+        total = 0
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            sub = cand & ~posadj[b.bit_length() - 1]
+            size = sub.bit_count()
+            if size < need - 1:
+                continue
+            nodes += 1
+            if nodes > node_limit:
+                stop()
+            total += size if need == 2 else independent(sub, need - 1)
+        return total
+
+    def last_unit(s0: int, s1: int, e: int, need: int) -> None:
+        """Tally a prefix's completions by need >= 2 positions, one budget unit left.
+
+        s0 and s1 hold the later positions with no and with one chosen
+        neighbour.  A completion with no new edge is an independent need-set
+        of s0.  One with a new edge has a core -- a position x of s1, or an
+        edge uv inside s0 -- and an independent rest drawn from all of s0
+        outside the core's neighbourhood (which holds u and v themselves).
+        """
+        nonlocal nodes
+        if s0.bit_count() < need - 1:  # every completion takes need - 1 of s0
+            return
+        tally[e] += independent(s0, need)
+        while s1:
+            b = s1 & -s1
+            s1 ^= b
+            rest = s0 & ~posadj[b.bit_length() - 1]
+            if rest.bit_count() < need - 1:
+                continue
+            nodes += 1
+            if nodes > node_limit:
+                stop()
+            tally[e + 1] += independent(rest, need - 1)
+        later = s0
+        while later:
+            b = later & -later
+            later ^= b
+            adj = posadj[b.bit_length() - 1]
+            ends = later & adj
+            if not ends:
+                continue
+            nodes += 1
+            if nodes > node_limit:
+                stop()
+            if need == 2:
+                tally[e + 1] += ends.bit_count()
+                continue
+            away = s0 & ~adj
+            while ends:
+                v = ends & -ends
+                ends ^= v
+                rest = away & ~posadj[v.bit_length() - 1]
+                if rest.bit_count() < need - 2:
+                    continue
+                nodes += 1
+                if nodes > node_limit:
+                    stop()
+                tally[e + 1] += independent(rest, need - 2)
+
+    def branch(slices: list[int], rest: int, e: int, need: int, vm: int) -> None:
+        """Complete a prefix with e edges by need >= 1 more positions.
+
+        rest is the union of slices; the budget left is len(slices) - 1.
+        """
+        if need == 1:
+            leaves(slices, rest, e, vm)
+        elif wit is None and len(slices) == 1:
+            tally[e] += independent(rest, need)
+        elif wit is None and len(slices) == 2:
+            last_unit(slices[0], slices[1], e, need)
+        elif len(slices) == 1:
+            spent(rest, e, need, vm)
+        else:
+            grow(slices, rest, e, need, vm)
+
     def grow(slices: list[int], rest: int, e: int, need: int, vm: int) -> None:
-        """Extend a prefix with e edges by need >= 2 more positions.
+        """Walk the extensions of a prefix with e edges by need >= 2 positions.
 
         rest is the union of slices; the budget left is len(slices) - 1.
         """
@@ -210,21 +306,10 @@ def census(
             nodes += 1
             if nodes > node_limit:
                 stop()
-            if need == 2:
-                leaves(child, union, e + c, vm | vbit[p])
-            elif len(child) == 1:
-                spent(union, e + c, need - 1, vm | vbit[p])
-            else:
-                grow(child, union, e + c, need - 1, vm | vbit[p])
+            branch(child, union, e + c, need - 1, vm | vbit[p])
 
     every = (1 << nn) - 1
-    root = [every] + [0] * (len(tally) - 1)
-    if k == 1:
-        leaves(root, every, 0, 0)
-    elif len(root) == 1:
-        spent(every, 0, k, 0)
-    else:
-        grow(root, every, 0, k, 0)
+    branch([every] + [0] * (len(tally) - 1), every, 0, k, 0)
     return finish()
 
 

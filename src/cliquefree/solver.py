@@ -72,6 +72,8 @@ def _max_free(g: Graph, makes_copy, node_limit: int, at_least: int | None) -> So
     order, each vertex that makes no copy; the search then branches on the
     lowest candidate, include before exclude.
     """
+    if node_limit < 0:
+        raise ValueError("node_limit must be non-negative")
     best_mask = 0
     best = 0
     for v in range(g.n):

@@ -241,3 +241,35 @@ def test_census_node_limit_partial_holds_tallies_so_far():
     assert part.witnesses == sorted(part.witnesses)
     assert set(part.witnesses) <= set(full.witnesses)
     assert len(part.witnesses) == part.total
+
+
+def test_census_counting_matches_listing_tally():
+    # counting mode counts the last unit of budget by core; listing mode
+    # still walks every prefix, so its witnesses tallied by edge count are
+    # an independent path to the same counts
+    for n, seed in ((16, 1), (21, 2), (26, 3), (34, 4)):
+        g = sample_graph(n, seed)
+        for cand in (g.full_mask, g.full_mask & ~0b1001000100101):
+            for k in range(3, 10):
+                for budget in (1, 2, 3):
+                    listed = census(g, k, budget, candidates=cand, witnesses=True)
+                    assert listed.witnesses_complete
+                    tally = {}
+                    for _, e in listed.witnesses:
+                        tally[e] = tally.get(e, 0) + 1
+                    counted = census(g, k, budget, candidates=cand)
+                    assert counted.counts == tally, (n, seed, cand, k, budget)
+
+
+def test_census_counting_node_limit_stops_in_the_last_unit():
+    # at (34, 8, 1) the root has one unit of budget, so every node is taken
+    # by the core count; the stop keeps the cores tallied before it
+    for seed in (1, 18):
+        g = sample_graph(34, seed)
+        full = census(g, 8, 1)
+        with pytest.raises(NodeLimitError) as exc:
+            census(g, 8, 1, node_limit=full.nodes // 2)
+        part = exc.value.partial
+        assert all(part.count(e) <= full.count(e) for e in part.counts)
+        assert 0 < part.total < full.total
+        assert part.witnesses is None

@@ -192,6 +192,26 @@ def test_structure_pick_node_limit_carries_scan_partial(capsys):
     assert err["partial"]["witnesses_complete"] is True
 
 
+@pytest.mark.parametrize(
+    "cmd",
+    [["solve", "--q", "3"], ["census-graph", "--k", "3", "--budget", "1"]],
+    ids=["solve", "census-graph"],
+)
+def test_negative_node_limit_is_bad_input(cmd, tmp_path, capsys):
+    path = tmp_path / "g.el"
+    path.write_text(format_edge_list(sample_graph(12, 3)))
+    name, *rest = cmd
+    assert run([name, "--in", str(path), *rest, "--node-limit", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "ValueError", "message": "node_limit must be non-negative"}
+    # a zero limit still stops the search at its first node
+    assert run([name, "--in", str(path), *rest, "--node-limit", "0"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "node_limit" and err["nodes"] == 1
+
+
 def test_solve_missing_file(capsys):
     assert run(["solve", "--in", "/nonexistent/g6", "--q", "3"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] in (

@@ -183,12 +183,13 @@ def test_reports_are_deterministic_and_parallel_invariant():
 # sha256 of to_json(include_rows=True), recorded before the four experiments
 # shared one replicate runner and one JSON writer; the poisson digest was
 # re-recorded when the census kernel redefined its rows' "nodes" (with every
-# row's "nodes" removed, the JSON is byte-identical to the earlier kernel's).
+# row's "nodes" removed, the JSON is byte-identical to the earlier kernel's),
+# and again when counting mode began to count the last unit of budget by core.
 # The second digest is node_free_digest of the same JSON: a kernel change may
 # re-record the first for its "nodes" values, never the second.
 REPORT_GOLDEN = [
     (lambda w: poisson_check(14, 4, 1, reps=6, seed=3, workers=w),
-     "4c129966a2e0dbe8e16242819a61686c8dcaa7fae8627643c25a12036438be1f",
+     "06c03c99a99fedcfbc97590f158ecb47732dee816914da3159ec575cec6bf83e",
      "5089c266ebd9ab37bc9399441b83723cd5e4e87cd1992d31cfa1e6c63a8e9bc7"),
     (lambda w: alpha_distribution(16, 2, reps=4, seed=5, workers=w),
      "7a7c2987a50c9979bdce71b3d3786d57aa3c869fd8993fb3085cf6a9a22a2c3d",
