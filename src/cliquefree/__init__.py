@@ -39,21 +39,18 @@ from .graphs import (
     Graph,
     covers_edge,
     edge_coins,
-    format_edge_list,
     graph6_decode,
     graph6_encode,
     mask_to_vertices,
     parse_edge_list,
     read_graph,
     sample_graph,
-    vertices_to_mask,
 )
 from .logmath import (
     LogValue,
     expected_defect_sets,
     expected_independent_sets,
     log_binomial,
-    overlap_sum,
     poisson_pmf,
     poisson_tail,
     stein_chen_bound,
@@ -71,7 +68,6 @@ from .solver import (
     DefectStructure,
     SolveResult,
     build_structure,
-    contains_subgraph,
     has_clique,
     max_clique_free,
     max_pattern_free,

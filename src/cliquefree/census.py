@@ -42,7 +42,7 @@ from .errors import NodeLimitError
 from .graphs import Graph, mask_to_vertices
 
 DEFAULT_NODE_LIMIT = 10 ** 9
-DEFAULT_WITNESS_CAP = 10 ** 5
+WITNESS_CAP = 10 ** 5  # most witnesses a listing keeps
 
 
 @dataclass
@@ -95,14 +95,14 @@ def census(
     candidates: int | None = None,
     witnesses: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> CensusResult:
     """Count (and optionally list) k-subsets inducing at most budget edges.
 
     candidates restricts the ground set to a vertex mask.  Counts are keyed
     by exact edge count, so callers needing "exactly i" read counts[i].
-    When the witness cap truncates, the kept witnesses are the first
-    witness_cap the walk meets, sorted by mask.
+    A listing keeps at most WITNESS_CAP witnesses: when it truncates, the
+    kept witnesses are the first WITNESS_CAP the walk meets, sorted by
+    mask, and witnesses_complete is False.
     """
     if k < 0 or budget < 0:
         raise ValueError("k and budget must be non-negative")
@@ -169,7 +169,7 @@ def census(
         if wit is None:
             return
         while rest:
-            if len(wit) >= witness_cap:
+            if len(wit) >= WITNESS_CAP:
                 result.witnesses_complete = False
                 return
             b = rest & -rest
@@ -320,7 +320,6 @@ def cover_family(
     k: int,
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> list[int]:
     """All independent k-sets that cover the edge uv, as vertex masks.
 
@@ -330,13 +329,9 @@ def cover_family(
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     allowed = g.full_mask & ~(g.rows[u] & g.rows[v]) & ~(1 << u) & ~(1 << v)
-    res = census(
-        g, k, 0,
-        candidates=allowed, witnesses=True,
-        node_limit=node_limit, witness_cap=witness_cap,
-    )
+    res = census(g, k, 0, candidates=allowed, witnesses=True, node_limit=node_limit)
     if not res.witnesses_complete:
         raise NodeLimitError(
-            f"cover family exceeded {witness_cap} witnesses", res.nodes, partial=res
+            f"cover family exceeded {WITNESS_CAP} witnesses", res.nodes, partial=res
         )
     return [m for m, _ in res.witnesses]

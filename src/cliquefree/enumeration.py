@@ -107,8 +107,12 @@ def _census_kernel(masks: np.ndarray, m: int, r: int) -> tuple[int, dict]:
     if gf.size == 0:
         return 0, {}
     best = np.full(gf.shape, 255, dtype=np.uint8)
-    for mono in _mono_masks(m, r):
-        cnt = np.bitwise_count(gf & mono).astype(np.uint8)
+    mono = _mono_masks(m, r)
+    # colorings in blocks against every surviving graph; about 2^16 pairs a
+    # block bounds the temporary arrays
+    step = max(1, 2 ** 16 // gf.size)
+    for s in range(0, mono.size, step):
+        cnt = np.bitwise_count(mono[s:s + step, None] & gf[None, :]).min(axis=0)
         np.minimum(best, cnt, out=best)
     hist = np.bincount(best)
     return int(gf.size), {t: int(c) for t, c in enumerate(hist) if c}

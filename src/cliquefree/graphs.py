@@ -26,6 +26,11 @@ from .rng import pair_index, stream_block
 MAX_VERTICES = 512
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1 with bitmask rows."""
 
@@ -34,8 +39,7 @@ class Graph:
     def __init__(self, n: int, rows: Iterable[int], validate: bool = True):
         rows = tuple(rows)
         if validate:
-            if not 0 <= n <= MAX_VERTICES:
-                raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+            _check_vertex_count(n)
             if len(rows) != n:
                 raise ValueError("row count does not match vertex count")
             full = (1 << n) - 1
@@ -62,19 +66,18 @@ class Graph:
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+        _check_vertex_count(n)
         return Graph(n, [0] * n, validate=False)
 
     @staticmethod
     def complete(n: int) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+        _check_vertex_count(n)
         full = (1 << n) - 1
         return Graph(n, [full ^ (1 << u) for u in range(n)], validate=False)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_vertex_count(n)  # before the rows list, which takes n slots
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -119,19 +122,6 @@ class Graph:
             total += (self.rows[v] & mask & (b - 1)).bit_count()
         return total
 
-    def subgraph(self, mask: int) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on the mask, relabeled; returns (graph, old labels)."""
-        verts = mask_to_vertices(mask)
-        pos = {v: p for p, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for p, v in enumerate(verts):
-            m = self.rows[v] & mask
-            while m:
-                b = m & -m
-                m ^= b
-                rows[p] |= 1 << pos[b.bit_length() - 1]
-        return Graph(len(verts), rows, validate=False), tuple(verts)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
@@ -149,13 +139,6 @@ def mask_to_vertices(mask: int) -> list[int]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return out
-
-
-def vertices_to_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def covers_edge(g: Graph, mask: int, u: int, v: int) -> bool:
@@ -177,8 +160,7 @@ def covers_edge(g: Graph, mask: int, u: int, v: int) -> bool:
 
 def edge_coins(n: int, seed: int) -> np.ndarray:
     """The C(n,2) edge indicator bits for (n, seed), in pair_index order."""
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+    _check_vertex_count(n)
     total = n * (n - 1) // 2
     return (stream_block(seed, 0, total) & np.uint64(1)).astype(np.uint8)
 
@@ -287,7 +269,9 @@ def graph6_decode(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise Graph6Error("non-ASCII character outside the graph6 alphabet")
+    data = s.encode("ascii")
     for ch in data:
         if not 63 <= ch <= 126:
             raise Graph6Error(f"byte {ch} outside the graph6 alphabet")
@@ -317,13 +301,6 @@ def graph6_decode(text: str) -> Graph:
 
 
 # -- edge-list text ----------------------------------------------------------
-
-
-def format_edge_list(g: Graph) -> str:
-    """Plain text: first line the vertex count, then one 'u v' line per edge."""
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -177,23 +177,6 @@ def poisson_tail(lam: float, t: int) -> float:
     return float(pdtrc(t - 1, lam))
 
 
-def overlap_sum(n: int, k: int) -> LogValue:
-    """Mean number of ordered pairs of independent k-sets sharing vertices.
-
-    C(n,k) * sum_{j=1}^{k-1} C(k,j) C(n-k,k-j) 2^(C(j,2) - 2 C(k,2)).
-    This is the clumping term that controls how far the independent-set
-    count sits from a Poisson law of the same mean.
-    """
-    if k < 1 or n < k:
-        return LogValue.zero()
-    P = pair_count(k)
-    terms = (
-        log_binomial(k, j) * log_binomial(n - k, k - j) * two_pow(pair_count(j) - 2 * P)
-        for j in range(1, k)
-    )
-    return log_binomial(n, k) * log_sum(terms)
-
-
 def stein_chen_bound(n: int, k: int, i: int) -> LogValue:
     """Poisson-approximation error bound for the i-defect k-set count.
 

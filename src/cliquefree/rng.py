@@ -20,15 +20,6 @@ import numpy as np
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
-TEST_SEED = 1234567
-TEST_STREAM = (
-    6457827717110365317,
-    3203168211198807973,
-    9817491932198370423,
-    4593380528125082431,
-    16408922859458223821,
-)
-
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer on a 64-bit word."""

@@ -170,21 +170,6 @@ def _embed(rows: list[int], back, pos: int, image: list[int], used: int, within:
     return False
 
 
-def contains_subgraph(g: Graph, f: Graph, *, within: int | None = None) -> bool:
-    """True iff g has a (not necessarily induced) copy of f.
-
-    within restricts the copy to a vertex mask of g.
-    """
-    if f.n == 0:
-        return True
-    if within is None:
-        within = g.full_mask
-    if within.bit_count() < f.n:
-        return False
-    first = min(range(f.n), key=lambda a: (-f.degree(a), a))
-    return _embed(g.rows, _pattern_back(f, first), 0, [0] * f.n, 0, within)
-
-
 def max_pattern_free(
     g: Graph,
     f: Graph,

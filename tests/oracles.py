@@ -36,21 +36,20 @@ def exact_expected_defect(n: int, k: int, i: int) -> Fraction:
     return Fraction(binom(n, k) * binom(pairs, i), 2 ** pairs)
 
 
-def exact_overlap_sum(n: int, k: int) -> Fraction:
-    """The pairwise-overlap first moment as an exact rational."""
-    pairs = k * (k - 1) // 2
-    total = Fraction(0)
-    for j in range(1, k):
-        jp = j * (j - 1) // 2
-        total += Fraction(
-            binom(k, j) * binom(n - k, k - j) * 2 ** jp, 2 ** (2 * pairs)
-        )
-    return binom(n, k) * total
-
-
 # -- sequential SplitMix64 (stateful reference) --------------------------------
 
 _M64 = (1 << 64) - 1
+
+# the reference vector of the rng module docstring: the first five outputs
+# of SplitMix64 seeded with 1234567
+TEST_SEED = 1234567
+TEST_STREAM = (
+    6457827717110365317,
+    3203168211198807973,
+    9817491932198370423,
+    4593380528125082431,
+    16408922859458223821,
+)
 
 
 def splitmix_sequential(seed: int, count: int) -> list[int]:
@@ -73,6 +72,19 @@ def splitmix_sequential(seed: int, count: int) -> list[int]:
 
 def edge_set(n: int, pairs) -> frozenset:
     return frozenset(frozenset(p) for p in pairs)
+
+
+def vertex_mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def edge_list_text(n: int, pairs) -> str:
+    """Edge-list input: the vertex count, then one "u v" line per pair."""
+    lines = [str(n), *(f"{u} {v}" for u, v in pairs)]
+    return "\n".join(lines) + "\n"
 
 
 def graph6_from_definition(n: int, edges: frozenset) -> str:
@@ -110,10 +122,7 @@ def subsets_witnesses(n: int, edges: frozenset, k: int, budget: int) -> list:
     for sub in combinations(range(n), k):
         e = sum(1 for p in combinations(sub, 2) if frozenset(p) in edges)
         if e <= budget:
-            mask = 0
-            for v in sub:
-                mask |= 1 << v
-            out.append((mask, e))
+            out.append((vertex_mask(sub), e))
     out.sort()
     return out
 

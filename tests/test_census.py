@@ -1,14 +1,19 @@
 """Tests for the bounded-defect subset census."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquefree.census import CensusResult, census, cover_family
 from cliquefree.errors import NodeLimitError
-from cliquefree.graphs import Graph, covers_edge, sample_graph, vertices_to_mask
+from cliquefree.graphs import Graph, covers_edge, sample_graph
 
-from oracles import edge_set, subsets_census, subsets_witnesses
+from oracles import edge_set, subsets_census, subsets_witnesses, vertex_mask
+
+# the package binds the name census to the function, so fetch the module itself
+census_module = importlib.import_module("cliquefree.census")
 
 
 def _oracle_args(g):
@@ -75,7 +80,7 @@ def test_census_counts_keyed_by_exact_edge_count():
 
 def test_census_candidates_mask():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    got = census(g, 2, 0, candidates=vertices_to_mask([0, 1, 2, 4]))
+    got = census(g, 2, 0, candidates=vertex_mask([0, 1, 2, 4]))
     # pairs within {0,1,2,4} with no edge: 02 04 12 14 24 (01 is an edge)
     assert got.counts == {0: 5}
 
@@ -97,9 +102,10 @@ def test_census_validation():
         census(g, 2, -1)
 
 
-def test_census_witness_cap_truncates():
+def test_census_witness_cap_truncates(monkeypatch):
+    monkeypatch.setattr(census_module, "WITNESS_CAP", 10)
     g = Graph.empty(8)
-    got = census(g, 3, 0, witnesses=True, witness_cap=10)
+    got = census(g, 3, 0, witnesses=True)
     assert len(got.witnesses) == 10
     assert not got.witnesses_complete
     assert got.total == 56  # counts still complete
@@ -149,10 +155,11 @@ def test_cover_family_validation():
         cover_family(g, 0, 2, 2)
 
 
-def test_cover_family_witness_overflow():
+def test_cover_family_witness_overflow(monkeypatch):
+    monkeypatch.setattr(census_module, "WITNESS_CAP", 5)
     g = Graph.from_edges(40, [(0, 1)])
-    with pytest.raises(NodeLimitError, match="witnesses"):
-        cover_family(g, 0, 1, 3, witness_cap=5)
+    with pytest.raises(NodeLimitError, match="exceeded 5 witnesses"):
+        cover_family(g, 0, 1, 3)
 
 
 # -- the bit-sliced kernel ----------------------------------------------------------
@@ -194,11 +201,12 @@ def test_census_counts_at_c07_points(point):
         assert census(g, k, i).counts == {e: c for e, c in wide.counts.items() if e <= i}
 
 
-def test_census_witness_cap_keeps_the_walks_first_witnesses():
-    # recorded with the stack-loop kernel: the first witness_cap k-sets in
+def test_census_witness_cap_keeps_the_walks_first_witnesses(monkeypatch):
+    # recorded with the stack-loop kernel: the first WITNESS_CAP k-sets in
     # ascending position order (degree, then label), then sorted by mask
+    monkeypatch.setattr(census_module, "WITNESS_CAP", 25)
     g = sample_graph(12, 5)
-    got = census(g, 4, 2, witnesses=True, witness_cap=25)
+    got = census(g, 4, 2, witnesses=True)
     assert got.total == 38 and not got.witnesses_complete
     assert got.witnesses == [
         (85, 2), (519, 2), (525, 2), (533, 1), (540, 2), (549, 2), (564, 2),
@@ -208,7 +216,8 @@ def test_census_witness_cap_keeps_the_walks_first_witnesses():
     ]
     g = sample_graph(16, 9)
     cand = g.full_mask & ~0b100000100010
-    got = census(g, 5, 3, candidates=cand, witnesses=True, witness_cap=30)
+    monkeypatch.setattr(census_module, "WITNESS_CAP", 30)
+    got = census(g, 5, 3, candidates=cand, witnesses=True)
     assert got.total == 161 and not got.witnesses_complete
     assert got.witnesses == [
         (1053, 3), (1101, 3), (1165, 2), (1221, 3), (1293, 2), (1413, 3),

@@ -13,12 +13,13 @@ import cliquefree
 from cliquefree.census import census
 from cliquefree.cli import run
 from cliquefree.experiments import dump_json
-from cliquefree.graphs import Graph, format_edge_list, graph6_encode, sample_graph
+from cliquefree.graphs import Graph, graph6_encode, sample_graph
 from cliquefree.profiles import mu_xi
 from cliquefree.solver import max_clique_free
 from cliquefree.thresholds import level, predicted_interval
 
 from conftest import node_free_digest
+from oracles import edge_list_text
 
 
 def _json_out(capsys):
@@ -101,7 +102,7 @@ CLI_GOLDEN = [
 def test_cli_stdout_golden(argv, digest, tmp_path, capsys):
     c5 = tmp_path / "c5.el"
     c5_edges = [(i, (i + 1) % 5) for i in range(5)]
-    c5.write_text(format_edge_list(Graph.from_edges(5, c5_edges)))
+    c5.write_text(edge_list_text(5, c5_edges))
     assert run(argv.format(c5=c5).split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -130,7 +131,7 @@ def test_kernel_stdout_node_free_golden(argv, digest, tmp_path, capsys):
 def test_solve_on_file(tmp_path, capsys):
     g = sample_graph(12, 3)
     path = tmp_path / "g.el"
-    path.write_text(format_edge_list(g))
+    path.write_text(edge_list_text(g.n, g.edges()))
     assert run(["solve", "--in", str(path), "--q", "3"]) == 0
     doc = _json_out(capsys)
     want = max_clique_free(g, 3)
@@ -149,7 +150,8 @@ def test_solve_graph6_input(tmp_path, capsys):
 
 def test_solve_node_limit_exit_code(tmp_path, capsys):
     path = tmp_path / "g.el"
-    path.write_text(format_edge_list(sample_graph(24, 3)))
+    g = sample_graph(24, 3)
+    path.write_text(edge_list_text(g.n, g.edges()))
     assert run(["solve", "--in", str(path), "--q", "3", "--node-limit", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -199,7 +201,8 @@ def test_structure_pick_node_limit_carries_scan_partial(capsys):
 )
 def test_negative_node_limit_is_bad_input(cmd, tmp_path, capsys):
     path = tmp_path / "g.el"
-    path.write_text(format_edge_list(sample_graph(12, 3)))
+    g = sample_graph(12, 3)
+    path.write_text(edge_list_text(g.n, g.edges()))
     name, *rest = cmd
     assert run([name, "--in", str(path), *rest, "--node-limit", "-5"]) == 2
     captured = capsys.readouterr()
@@ -217,6 +220,25 @@ def test_solve_missing_file(capsys):
     assert json.loads(capsys.readouterr().err)["error"] in (
         "FileNotFoundError", "OSError"
     )
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("Bé\n", "Graph6Error", "non-ASCII character outside the graph6 alphabet"),
+        # the header is checked before the rows are allocated; 2^61 rows of
+        # 8 bytes overflow the address space, so no run tries to take them
+        (f"{2 ** 61}\n0 1\n", "ValueError", "vertex count must be in [0, 512]"),
+    ],
+    ids=["graph6-non-ascii", "edge-list-huge-header"],
+)
+def test_bad_graph_file_is_bad_input(text, error, message, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(["solve", "--in", str(path), "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error, "message": message}
 
 
 def test_structure(capsys):
@@ -244,7 +266,7 @@ def test_structure_not_found(capsys):
 def test_census_graph(tmp_path, capsys):
     g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
     path = tmp_path / "g.el"
-    path.write_text(format_edge_list(g))
+    path.write_text(edge_list_text(g.n, g.edges()))
     assert run([
         "census-graph", "--in", str(path), "--k", "3", "--budget", "3", "--witnesses",
     ]) == 0

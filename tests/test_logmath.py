@@ -15,13 +15,12 @@ from cliquefree.logmath import (
     expected_independent_sets,
     log_binomial,
     log_sum,
-    overlap_sum,
     poisson_pmf,
     poisson_tail,
     stein_chen_bound,
     two_pow,
 )
-from oracles import binom, exact_expected_defect, exact_overlap_sum
+from oracles import binom, exact_expected_defect
 
 REL = 1e-11
 EPS = 2.0 ** -52
@@ -187,18 +186,6 @@ def test_poisson_pmf_and_tail_equal_scipy_stats_bitwise():
             assert poisson_tail(lam, t) == float(poisson.sf(t - 1, lam)), (lam, t)
 
 
-# -- overlap sum ------------------------------------------------------------------
-
-
-def test_overlap_sum_matches_exact_rationals():
-    for n in range(4, 15):
-        for k in range(2, min(n, 6)):
-            got = overlap_sum(n, k)
-            want = exact_overlap_sum(n, k)
-            assert close(got, want, 1e-9), (n, k)
-    assert overlap_sum(10, 1).sign == 0  # no proper overlaps for k = 1
-
-
 # -- stein-chen sanity ---------------------------------------------------------------
 
 
@@ -218,9 +205,11 @@ def test_stein_chen_bound_basic_shape():
 
 # -- byte-level golden ----------------------------------------------------------------
 
-# sha256 of repr([(sign, ln), ...]) over the grid below, recorded when LogValue
-# still carried signed arithmetic; any one-ulp drift in the model moves it
-FIRST_MOMENT_GOLDEN = "c47bf4233d17c745dfbb403d834f1525107c2e34a037e6096a523790940a95b4"
+# sha256 of repr([(sign, ln), ...]) over the grid below; any one-ulp drift in
+# the model moves it.  Recorded when LogValue still carried signed arithmetic,
+# then recomputed over the same grid without its overlap-sum term, on the code
+# that still had that term, when the term was deleted.
+FIRST_MOMENT_GOLDEN = "e29fab10e8bd085f7baf40906ac3ace63602e09792a4881f8dfb9bcf63780168"
 
 
 def test_first_moment_grid_golden():
@@ -229,6 +218,5 @@ def test_first_moment_grid_golden():
         for k in range(11):
             values.extend(expected_defect_sets(n, k, i) for i in range(6))
             values.extend(stein_chen_bound(n, k, i) for i in range(-1, 5))
-            values.append(overlap_sum(n, k))
     text = repr([(v.sign, v.ln) for v in values])
     assert hashlib.sha256(text.encode()).hexdigest() == FIRST_MOMENT_GOLDEN

@@ -5,15 +5,13 @@ import pytest
 
 from cliquefree.rng import (
     GAMMA,
-    TEST_SEED,
-    TEST_STREAM,
     mix64,
     pair_index,
     stream_at,
     stream_block,
     sub_seed,
 )
-from oracles import splitmix_sequential
+from oracles import TEST_SEED, TEST_STREAM, splitmix_sequential
 
 
 def test_published_stream_vector():
