@@ -239,6 +239,7 @@ def _hitting_rep(t: int, child_seed: int, r: int, j: int, n_max: int) -> dict:
     t_alpha = None
     t_supply = None
     start = level_threshold(3)
+    res = None
     for n in range(1, n_max + 1):
         g = stream.step()
         if n < start:
@@ -246,7 +247,7 @@ def _hitting_rep(t: int, child_seed: int, r: int, j: int, n_max: int) -> dict:
         k = level(n)
         target = k * r + j
         if t_alpha is None:
-            res = max_clique_free(g, r + 1, at_least=target)
+            res = max_clique_free(g, r + 1, grown_from=res)
             if res.size >= target:
                 t_alpha = n
         if t_supply is None:
@@ -269,6 +270,9 @@ def hitting_times(
     """First exposure step where the size target / defect supply appear.
 
     t_alpha: first n with maximum clique-free size at least level(n)*r + j.
+    The maximum is solved once at the first step and then grown one vertex
+    at a time (max_clique_free's grown_from): each step searches only the
+    sets through the new vertex, and the maximum stays exact.
     t_supply: first n with at least xi_j subsets of size level(n)+1 carrying
     exactly mu_j defect edges.  Coincidence of the two is tallied; no
     ordering between them is asserted.

@@ -65,11 +65,6 @@ class Graph:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def empty(n: int) -> "Graph":
-        _check_vertex_count(n)
-        return Graph(n, [0] * n, validate=False)
-
-    @staticmethod
     def complete(n: int) -> "Graph":
         _check_vertex_count(n)
         full = (1 << n) - 1

@@ -9,6 +9,13 @@ inside the new vertex's chosen neighborhood for K_q, a subgraph match
 with the new vertex pinned into the copy for f.  Both tests are exact, so
 every reported witness is correct by construction.
 
+max_clique_free can also grow an exact result by one vertex: given
+grown_from, the exact maximum for g without its last vertex v, only sets
+through v can beat it, and none by more than one, since dropping v from
+any set leaves a set of g - v.  The search keeps grown_from as its
+incumbent, roots at the set {v} and stops at grown_from.size + 1, so the
+result is the exact maximum of g at a fraction of a full search.
+
 build_structure assembles the certificate family behind the lower-bound
 side of the two-point prediction: j parts of size k+1 carrying mu or mu+1
 defect edges, plus r-j independent k-sets, one per defect edge, each
@@ -64,25 +71,42 @@ def has_clique(g: Graph, mask: int, q: int) -> bool:
     return q <= 0 or _clique_within(g.rows, mask, q)
 
 
-def _max_free(g: Graph, makes_copy, node_limit: int, at_least: int | None) -> SolveResult:
+def _max_free(
+    g: Graph,
+    makes_copy,
+    node_limit: int,
+    at_least: int | None,
+    grown_from: SolveResult | None = None,
+) -> SolveResult:
     """Branch and bound behind max_clique_free and max_pattern_free.
 
     makes_copy(chosen, b) is True iff adding vertex bit b to the F-free
     mask chosen creates a copy of F.  The greedy seed keeps, in vertex
     order, each vertex that makes no copy; the search then branches on the
-    lowest candidate, include before exclude.
+    lowest candidate, include before exclude.  With grown_from, the exact
+    result for g without its last vertex v, the incumbent is grown_from
+    instead of the greedy seed and the search roots at the set {v}.
     """
     if node_limit < 0:
         raise ValueError("node_limit must be non-negative")
-    best_mask = 0
-    best = 0
-    for v in range(g.n):
-        if not makes_copy(best_mask, 1 << v):
-            best_mask |= 1 << v
-            best += 1
+    target = at_least if at_least is not None else g.n + 1
+    if grown_from is None:
+        best_mask = 0
+        best = 0
+        for v in range(g.n):
+            if not makes_copy(best_mask, 1 << v):
+                best_mask |= 1 << v
+                best += 1
+        root = (g.full_mask, 0, 0)
+    else:
+        best, best_mask = grown_from.size, grown_from.witness
+        last = 1 << (g.n - 1)
+        target = min(target, best + 1)
+        if best == 0:  # g is the one vertex v
+            best, best_mask = 1, last
+        root = (g.full_mask ^ last, last, 1)
 
     nodes = 0
-    target = at_least if at_least is not None else g.n + 1
 
     def dfs(cand: int, chosen: int, size: int):
         nonlocal best, best_mask, nodes
@@ -106,7 +130,7 @@ def _max_free(g: Graph, makes_copy, node_limit: int, at_least: int | None) -> So
             dfs(rest, chosen | b, size + 1)
         dfs(rest, chosen, size)
 
-    dfs(g.full_mask, 0, 0)
+    dfs(*root)
     return SolveResult(best, best_mask, nodes)
 
 
@@ -116,14 +140,28 @@ def max_clique_free(
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
     at_least: int | None = None,
+    grown_from: SolveResult | None = None,
 ) -> SolveResult:
     """Maximum induced subgraph with no clique on q vertices.
 
     at_least stops the search as soon as a witness of that size is found;
     the returned size is then a lower bound rather than the maximum.
+
+    grown_from is the exact result (no at_least) for g without its last
+    vertex v, as when a graph grows one vertex at a time.  The maximum of g
+    is then grown_from.size or one more, and a larger set must contain v,
+    so only sets through v are searched; the result is still the exact
+    maximum.  A grown_from whose witness reaches v, lies outside g, does
+    not match its size or holds a clique on q vertices raises ValueError.
     """
     if q < 2:
         raise ValueError("clique order q must be at least 2")
+    if grown_from is not None:
+        w = grown_from.witness
+        if g.n == 0 or w >> (g.n - 1):  # also true for a negative w
+            raise ValueError("grown_from witness must lie in g without its last vertex")
+        if w.bit_count() != grown_from.size or has_clique(g, w, q):
+            raise ValueError("grown_from is not a clique-free witness of its size")
     rows = g.rows
     need = q - 1
     return _max_free(
@@ -131,6 +169,7 @@ def max_clique_free(
         lambda chosen, b: _clique_within(rows, rows[b.bit_length() - 1] & chosen, need),
         node_limit,
         at_least,
+        grown_from,
     )
 
 

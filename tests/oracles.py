@@ -128,12 +128,20 @@ def subsets_witnesses(n: int, edges: frozenset, k: int, budget: int) -> list:
 
 
 def max_clique_size_in(n: int, edges: frozenset, subset) -> int:
+    """Largest clique inside subset, trying sizes upward.
+
+    Every subset of a clique is a clique, so the first size with no clique
+    ends the scan.
+    """
     best = 0
     verts = list(subset)
-    for size in range(len(verts), 0, -1):
-        for cl in combinations(verts, size):
-            if all(frozenset(p) in edges for p in combinations(cl, 2)):
-                return size
+    for size in range(1, len(verts) + 1):
+        if not any(
+            all(frozenset(p) in edges for p in combinations(cl, 2))
+            for cl in combinations(verts, size)
+        ):
+            break
+        best = size
     return best
 
 
@@ -362,3 +370,43 @@ def tv_full_l1(pmf: np.ndarray, lam: float, extra_terms: int = 400) -> float:
     cum = sum(poisson_pmf_ref(lam, v) for v in range(top + 1))
     s += max(0.0, 1.0 - cum)
     return s
+
+
+# -- hitting times by re-solving every exposure step ---------------------------
+
+
+def hitting_rep_resolving(lib, t: int, child_seed: int, r: int, j: int, n_max: int) -> dict:
+    """A hitting_times replicate that decides the size target from scratch.
+
+    The replicate function as it was before the exposure-incremental
+    search: every step re-solves max_clique_free with at_least=target.
+    lib is the package under test, passed in so this module imports
+    nothing from it.
+    """
+    mu, xi = lib.mu_xi(r, j)
+    stream = lib.ExposureStream(child_seed)
+    t_alpha = None
+    t_supply = None
+    start = lib.level_threshold(3)
+    for n in range(1, n_max + 1):
+        g = stream.step()
+        if n < start:
+            continue
+        k = lib.level(n)
+        target = k * r + j
+        if t_alpha is None:
+            res = lib.max_clique_free(g, r + 1, at_least=target)
+            if res.size >= target:
+                t_alpha = n
+        if t_supply is None:
+            c = lib.census(g, k + 1, mu)
+            if c.count(mu) >= xi:
+                t_supply = n
+        if t_alpha is not None and t_supply is not None:
+            break
+    return {
+        "rep": t,
+        "seed": child_seed,
+        "t_alpha": t_alpha,
+        "t_supply": t_supply,
+    }

@@ -86,7 +86,7 @@ def test_census_candidates_mask():
 
 
 def test_census_k_zero_and_infeasible():
-    g = Graph.empty(4)
+    g = Graph.from_edges(4, [])
     z = census(g, 0, 0, witnesses=True)
     assert z.counts == {0: 1}
     assert z.witnesses == [(0, 0)]
@@ -95,7 +95,7 @@ def test_census_k_zero_and_infeasible():
 
 
 def test_census_validation():
-    g = Graph.empty(3)
+    g = Graph.from_edges(3, [])
     with pytest.raises(ValueError):
         census(g, -1, 0)
     with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ def test_census_validation():
 
 def test_census_witness_cap_truncates(monkeypatch):
     monkeypatch.setattr(census_module, "WITNESS_CAP", 10)
-    g = Graph.empty(8)
+    g = Graph.from_edges(8, [])
     got = census(g, 3, 0, witnesses=True)
     assert len(got.witnesses) == 10
     assert not got.witnesses_complete
@@ -112,7 +112,7 @@ def test_census_witness_cap_truncates(monkeypatch):
 
 
 def test_census_node_limit():
-    g = Graph.empty(16)
+    g = Graph.from_edges(16, [])
     with pytest.raises(NodeLimitError) as exc:
         census(g, 8, 0, node_limit=100)
     err = exc.value

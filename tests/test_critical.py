@@ -29,8 +29,8 @@ def cycle(n):
 
 
 def test_chromatic_known_graphs():
-    assert chromatic_number(Graph.empty(0)) == 0
-    assert chromatic_number(Graph.empty(5)) == 1
+    assert chromatic_number(Graph.from_edges(0, [])) == 0
+    assert chromatic_number(Graph.from_edges(5, [])) == 1
     assert chromatic_number(Graph.from_edges(2, [(0, 1)])) == 2
     assert chromatic_number(cycle(5)) == 3
     assert chromatic_number(cycle(6)) == 2

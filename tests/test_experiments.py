@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+import cliquefree
 from cliquefree.census import census
 from cliquefree.experiments import (
     ExperimentReport,
+    _hitting_rep,
     alpha_distribution,
     hitting_times,
     poisson_check,
@@ -19,9 +21,10 @@ from cliquefree.graphs import ExposureStream, sample_graph
 from cliquefree.logmath import poisson_pmf
 from cliquefree.rng import sub_seed
 from cliquefree.solver import max_clique_free
-from cliquefree.thresholds import level
+from cliquefree.thresholds import level, level_threshold
 
 from conftest import node_free_digest
+from oracles import hitting_rep_resolving
 
 
 # -- tv distance helper ----------------------------------------------------------
@@ -132,6 +135,21 @@ def test_hitting_times_rows_match_exposure_replay():
     if s["completed"]:
         assert s["coincidence_rate"] is not None
         assert s["alpha_first"] + s["supply_first"] <= s["completed"]
+
+
+@pytest.mark.parametrize("r,j,n_max,reps", [
+    (2, 1, 20, 24), (2, 2, 24, 12), (3, 1, 22, 16), (3, 3, 22, 16),
+])
+def test_hitting_rows_match_resolving_every_step(r, j, n_max, reps):
+    rows = [_hitting_rep(t, sub_seed(19, t), r, j, n_max) for t in range(reps)]
+    want = [hitting_rep_resolving(cliquefree, t, sub_seed(19, t), r, j, n_max)
+            for t in range(reps)]
+    assert rows == want
+    # some replicate is still searching when the target jumps with level(n)
+    jumps = [n for n in range(level_threshold(3) + 1, n_max + 1) if level(n) > level(n - 1)]
+    assert jumps
+    for n in jumps:
+        assert any(row["t_alpha"] is None or row["t_alpha"] >= n for row in rows), n
 
 
 def test_hitting_times_validation():

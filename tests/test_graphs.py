@@ -36,8 +36,8 @@ def small_graphs():
     return st.integers(min_value=0, max_value=9).flatmap(
         lambda n: st.builds(
             lambda pairs: Graph.from_edges(
-                n, [(u % n, v % n) for u, v in pairs if u % n != v % n]
-            ) if n else Graph.empty(0),
+                n, [(u % n, v % n) for u, v in pairs if n and u % n != v % n]
+            ),
             st.lists(
                 st.tuples(
                     st.integers(min_value=0, max_value=8),
@@ -53,13 +53,13 @@ def small_graphs():
 
 
 def test_empty_and_complete():
-    e = Graph.empty(5)
+    e = Graph.from_edges(5, [])
     assert e.edge_count() == 0
     assert list(e.edges()) == []
     k = Graph.complete(5)
     assert k.edge_count() == 10
     assert all(k.degree(v) == 4 for v in range(5))
-    assert Graph.empty(0).n == 0
+    assert Graph.from_edges(0, []).n == 0
     assert Graph.complete(1).edge_count() == 0
 
 
@@ -88,9 +88,9 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(2, [0b10, 0b00])
     with pytest.raises(ValueError, match="vertex count"):
-        Graph.empty(MAX_VERTICES + 1)
+        Graph.from_edges(MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="vertex count"):
-        Graph.empty(-1)
+        Graph.from_edges(-1, [])
     with pytest.raises(ValueError, match="self-loop"):
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError, match="outside vertex range"):
@@ -98,7 +98,7 @@ def test_validation_errors():
 
 
 def test_graph_is_immutable():
-    g = Graph.empty(2)
+    g = Graph.from_edges(2, [])
     with pytest.raises(AttributeError):
         g.n = 5
 

@@ -1,8 +1,9 @@
 """Dead-name checks with ast, since no linter is installed.
 
-No imported name goes unused, and every top-level library name has a caller
-outside the tests.  The package's __init__.py is skipped by both: its
-imports are the public exports, and an export is not a caller.
+No imported name goes unused, and every top-level library name and every
+method of a top-level library class has a caller outside the tests.  The
+package's __init__.py is skipped by both: its imports are the public
+exports, and an export is not a caller.
 """
 
 import ast
@@ -53,6 +54,10 @@ CALLERS = sorted(
 )
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def top_level_names(stmt) -> list[str]:
     """Names a top-level def, class or assignment binds, dunders left out."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -62,36 +67,111 @@ def top_level_names(stmt) -> list[str]:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         names = []
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not is_dunder(n)]
 
 
-def referenced(stmt) -> set[str]:
+def methods(stmt) -> list:
+    """The defs in a top-level class body (static, class and instance
+    methods and properties), dunders left out."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        s for s in stmt.body
+        if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(s.name)
+    ]
+
+
+def referenced(*nodes) -> set[str]:
     return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(stmt)
+        for top in nodes
+        for node in ast.walk(top)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
 
 
+def parts(stmt) -> list[tuple]:
+    """(part, names it references) for each method of a top-level class and
+    for the rest of the statement."""
+    own = methods(stmt)
+    rest = [node for node in ast.iter_child_nodes(stmt) if node not in own]
+    return [(m, referenced(m)) for m in own] + [(stmt, referenced(*rest))]
+
+
 def uncalled_names(modules: dict[str, str], callers: list[str]) -> list[str]:
-    """module.name for each top-level name of modules that no statement of
-    modules or callers references, outside the statement defining it."""
+    """module.name for each top-level name, and module.Class.method for each
+    method, of modules that no statement of modules or callers references.
+    A name's own statement does not count, a method's own body does not
+    count, and a class's methods do not count for the class; a method
+    another method of its class calls has a caller."""
     trees = {name: ast.parse(text) for name, text in modules.items()}
     stmts = [s for tree in trees.values() for s in tree.body]
     stmts += [s for text in callers for s in ast.parse(text).body]
-    refs = [(s, referenced(s)) for s in stmts]
-    return [
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        for stmt in tree.body
-        for name in top_level_names(stmt)
-        if not any(name in names for s, names in refs if s is not stmt)
-    ]
+    refs = [(s, part, names) for s in stmts for part, names in parts(s)]
+    out = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            out += [
+                f"{module}.{name}"
+                for name in top_level_names(stmt)
+                if not any(name in names for s, _, names in refs if s is not stmt)
+            ]
+            out += [
+                f"{module}.{stmt.name}.{m.name}"
+                for m in methods(stmt)
+                if not any(m.name in names for _, part, names in refs if part is not m)
+            ]
+    return out
 
 
 def test_uncalled_checker_flags_a_name_only_its_own_definition_uses():
     modules = {"m": "A = 1\nB = A\ndef f(n):\n    return f(n - 1)\ndef g():\n    return B\n"}
     assert uncalled_names(modules, ["g()\n"]) == ["m.f"]
+
+
+def test_uncalled_checker_flags_methods_only_tests_call():
+    module = """
+class C:
+    def __init__(self):
+        self.x = C.made()
+
+    @staticmethod
+    def made():
+        return 1
+
+    @staticmethod
+    def only_tests():
+        return C()
+
+    @classmethod
+    def also_only_tests(cls):
+        return cls.only_tests()
+
+    def helper(self):
+        return self.x
+
+    def used(self):
+        return self.helper()
+
+    def recursive(self, n):
+        return self.recursive(n - 1)
+
+    @property
+    def shown(self):
+        return self.x
+
+
+class D:
+    @staticmethod
+    def make():
+        return D()
+"""
+    caller = "C().used()\nprint(C().shown)\n"
+    # only_tests is called by also_only_tests, which nothing calls; D is
+    # made only by its own method
+    assert uncalled_names({"m": module}, [caller]) == [
+        "m.C.also_only_tests", "m.C.recursive", "m.D", "m.D.make"
+    ]
 
 
 def test_every_library_name_has_a_caller_outside_the_tests():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cliquefree.errors import NodeLimitError
-from cliquefree.graphs import Graph, mask_to_vertices, sample_graph
+from cliquefree.graphs import ExposureStream, Graph, mask_to_vertices, sample_graph
 from cliquefree.solver import (
     SolveResult,
     build_structure,
@@ -50,7 +50,7 @@ def test_has_clique_edge_cases():
     assert not has_clique(g, 0, 1)
     assert has_clique(g, 0b10101, 3)
     assert not has_clique(g, 0b10101, 4)
-    e = Graph.empty(5)
+    e = Graph.from_edges(5, [])
     assert not has_clique(e, e.full_mask, 2)
 
 
@@ -97,10 +97,10 @@ def test_max_clique_free_fixed_cases():
 
 def test_max_clique_free_extremes():
     assert max_clique_free(Graph.complete(7), 3).size == 2
-    assert max_clique_free(Graph.empty(7), 3).size == 7
-    assert max_clique_free(Graph.empty(0), 3).size == 0
+    assert max_clique_free(Graph.from_edges(7, []), 3).size == 7
+    assert max_clique_free(Graph.from_edges(0, []), 3).size == 0
     with pytest.raises(ValueError):
-        max_clique_free(Graph.empty(3), 1)
+        max_clique_free(Graph.from_edges(3, []), 1)
 
 
 def test_max_clique_free_at_least_semantics():
@@ -149,6 +149,78 @@ def test_max_clique_free_node_limit():
         max_clique_free(g, 3, node_limit=50)
     assert exc.value.nodes > 50
     assert isinstance(exc.value.partial, SolveResult)
+
+
+# -- growing the maximum one vertex at a time ----------------------------------
+
+
+GROWN_SEEDS = range(20)
+GROWN_N_MAX = 24
+ORACLE_N_MAX = 13  # the subset DP scans 2^n masks
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_grown_max_clique_free_along_exposure_streams(q):
+    for seed in GROWN_SEEDS:
+        stream = ExposureStream(seed)
+        res = max_clique_free(Graph.from_edges(0, []), q)
+        checked = None
+        for n in range(1, GROWN_N_MAX + 1):
+            g = stream.step()
+            res = max_clique_free(g, q, grown_from=res)
+            assert res.size == max_clique_free(g, q).size, (seed, n)
+            assert res.witness.bit_count() == res.size
+            en = _edges(g)
+            if n <= ORACLE_N_MAX:
+                assert res.size == alpha_clique_free(n, en, q), (seed, n)
+            if res.witness != checked:  # an unchanged witness was checked at n - 1
+                assert max_clique_size_in(n, en, mask_to_vertices(res.witness)) < q
+                checked = res.witness
+
+
+def test_grown_max_clique_free_with_at_least():
+    g = sample_graph(16, 2)
+    before = max_clique_free(sample_graph(15, 2), 3)  # g without its last vertex
+    exact = max_clique_free(g, 3)
+    assert max_clique_free(g, 3, grown_from=before, at_least=before.size).nodes == 0
+    grown = max_clique_free(g, 3, grown_from=before, at_least=exact.size)
+    assert grown.size == exact.size
+    assert not has_clique(g, grown.witness, 3)
+
+
+def test_grown_max_clique_free_node_limit_partial():
+    stream = ExposureStream(3)
+    for _ in range(23):
+        stream.step()
+    before = max_clique_free(stream.graph, 3)
+    g = stream.step()
+    with pytest.raises(NodeLimitError) as exc:
+        max_clique_free(g, 3, grown_from=before, node_limit=5)
+    part = exc.value.partial
+    assert isinstance(part, SolveResult)
+    assert exc.value.nodes > 5
+    assert part.size >= before.size
+    assert part.witness.bit_count() == part.size
+    assert part.witness >> g.n == 0
+    assert max_clique_size_in(g.n, _edges(g), mask_to_vertices(part.witness)) < 3
+
+
+def test_grown_max_clique_free_rejects_a_bad_start():
+    g = sample_graph(10, 4)
+    ok = max_clique_free(sample_graph(9, 4), 3)
+    for bad in [
+        SolveResult(1, 1 << 9, 0),                # reaches the last vertex
+        SolveResult(1, 1 << 10, 0),               # outside g
+        SolveResult(-1, -1, 0),                   # not a vertex set
+        SolveResult(ok.size + 1, ok.witness, 0),  # size is not the witness's
+    ]:
+        with pytest.raises(ValueError):
+            max_clique_free(g, 3, grown_from=bad)
+    with pytest.raises(ValueError):  # holds a clique on q vertices
+        max_clique_free(Graph.complete(5), 3, grown_from=SolveResult(3, 0b111, 0))
+    with pytest.raises(ValueError):  # g has no last vertex
+        max_clique_free(Graph.from_edges(0, []), 3, grown_from=SolveResult(0, 0, 0))
+    assert max_clique_free(g, 3, grown_from=ok).size == max_clique_free(g, 3).size
 
 
 # -- maximum pattern-free subgraphs ---------------------------------------------
@@ -203,9 +275,9 @@ def test_max_pattern_free_five_cycle_matches_bruteforce():
 
 
 def test_max_pattern_free_validation():
-    g = Graph.empty(4)
+    g = Graph.from_edges(4, [])
     with pytest.raises(ValueError, match="at least one edge"):
-        max_pattern_free(g, Graph.empty(3))
+        max_pattern_free(g, Graph.from_edges(3, []))
 
 
 # -- defect structures -----------------------------------------------------------
@@ -258,11 +330,11 @@ def test_build_structure_impossible_cases():
     # complete graph: every 4-set has 6 induced edges, far over budget
     assert build_structure(Graph.complete(8), 2, 1, 3) is None
     # empty graph: a part needs exactly one defect edge but none exist
-    assert build_structure(Graph.empty(12), 2, 1, 3) is None
+    assert build_structure(Graph.from_edges(12, []), 2, 1, 3) is None
 
 
 def test_build_structure_validation():
-    g = Graph.empty(8)
+    g = Graph.from_edges(8, [])
     with pytest.raises(ValueError):
         build_structure(g, 2, 1, 0)
     with pytest.raises(ValueError):
