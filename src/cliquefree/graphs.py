@@ -267,9 +267,10 @@ def graph6_decode(text: str) -> Graph:
     if not s.isascii():
         raise Graph6Error("non-ASCII character outside the graph6 alphabet")
     data = s.encode("ascii")
-    for ch in data:
-        if not 63 <= ch <= 126:
-            raise Graph6Error(f"byte {ch} outside the graph6 alphabet")
+    codes = np.frombuffer(data, dtype=np.uint8)
+    outside = np.flatnonzero((codes < 63) | (codes > 126))
+    if outside.size:
+        raise Graph6Error(f"byte {data[outside[0]]} outside the graph6 alphabet")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("graph6 sizes above 258047 are not supported")

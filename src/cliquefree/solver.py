@@ -2,12 +2,31 @@
 
 max_clique_free and max_pattern_free compute the maximum number of
 vertices inducing no copy of a forbidden graph F (a clique on q vertices,
-or any pattern f) with one branch and bound over vertex masks.  The bound
-is the plain size bound |chosen| + |candidates|.  The two solvers differ
-only in the test that gates the include step: an exact clique search
-inside the new vertex's chosen neighborhood for K_q, a subgraph match
-with the new vertex pinned into the copy for f.  Both tests are exact, so
-every reported witness is correct by construction.
+or any pattern f) with one branch and bound over vertex masks.  A search
+call holds an F-free chosen set and the candidates that can each join it
+without making a copy.  It includes them in ascending order, each one's
+subtree searched before the next is tried, so sets are met in the order of
+a search that branches on the lowest candidate, include before exclude.
+After an include of b, the later candidates that now make a copy are
+dropped.  The two solvers differ only in that filter: for K_q only b's
+neighbours can make a copy, found by an exact clique search inside the
+common chosen neighbourhood; for f every later candidate c can, found by
+a subgraph match with b and c pinned into the copy.  Both filters are
+exact, so every reported witness is correct by construction.
+
+The bound is a clique cover of the candidates, built once per call: from
+the highest candidate down, each joins the first class it is fully
+adjacent to.  Any |F| vertices of a clique hold a copy of F, so an F-free
+set takes at most cap = |F| - 1 vertices of a class (q - 1 for K_q), and
+a class adds min(its size, cap).  The candidates left after the lower ones
+have been tried form a suffix, which keeps each class's highest members,
+so the one pass bounds every suffix; the call stops once |chosen| plus
+the suffix's bound cannot beat the incumbent.  Only subtrees that cannot
+strictly beat the incumbent are cut, and the incumbent changes only on a
+strict gain, so the search meets the same sequence of incumbents as one
+bounded by |chosen| + |candidates|: size and witness are those of the
+plain bound, and only the node count moves.  One node is one chosen set
+the search enters: the root and every include.
 
 max_clique_free can also grow an exact result by one vertex: given
 grown_from, the exact maximum for g without its last vertex v, only sets
@@ -73,30 +92,38 @@ def has_clique(g: Graph, mask: int, q: int) -> bool:
 
 def _max_free(
     g: Graph,
-    makes_copy,
+    keep,
+    cap: int,
     node_limit: int,
     at_least: int | None,
     grown_from: SolveResult | None = None,
 ) -> SolveResult:
     """Branch and bound behind max_clique_free and max_pattern_free.
 
-    makes_copy(chosen, b) is True iff adding vertex bit b to the F-free
-    mask chosen creates a copy of F.  The greedy seed keeps, in vertex
-    order, each vertex that makes no copy; the search then branches on the
-    lowest candidate, include before exclude.  With grown_from, the exact
-    result for g without its last vertex v, the incumbent is grown_from
-    instead of the greedy seed and the search roots at the set {v}.
+    keep(chosen, b, later) returns the vertices of later that make no copy
+    of F with the F-free mask chosen, whose vertex bit b was added last;
+    cap = |F| - 1 is the most vertices of a clique an F-free set can hold.
+    The greedy seed keeps, in vertex order, each vertex that makes no
+    copy.  With grown_from, the exact result for g without its last
+    vertex v, the incumbent is grown_from instead and the search roots at
+    the set {v}.  Each call includes its candidates in ascending order and
+    stops once the clique-cover bound of the untried ones cannot beat the
+    incumbent (module docstring); one node is one call.  Only subtrees that
+    cannot strictly beat the incumbent are cut, so size and witness are
+    those of the plain size bound.
     """
     if node_limit < 0:
         raise ValueError("node_limit must be non-negative")
+    rows = g.rows
     target = at_least if at_least is not None else g.n + 1
     if grown_from is None:
         best_mask = 0
-        best = 0
-        for v in range(g.n):
-            if not makes_copy(best_mask, 1 << v):
-                best_mask |= 1 << v
-                best += 1
+        cand = g.full_mask
+        while cand:
+            b = cand & -cand
+            best_mask |= b
+            cand = keep(best_mask, b, cand ^ b)
+        best = best_mask.bit_count()
         root = (g.full_mask, 0, 0)
     else:
         best, best_mask = grown_from.size, grown_from.witness
@@ -104,7 +131,7 @@ def _max_free(
         target = min(target, best + 1)
         if best == 0:  # g is the one vertex v
             best, best_mask = 1, last
-        root = (g.full_mask ^ last, last, 1)
+        root = (keep(last, last, g.full_mask ^ last), last, 1)
 
     nodes = 0
 
@@ -119,16 +146,37 @@ def _max_free(
                 nodes,
                 partial=SolveResult(best, best_mask, nodes),
             )
-        if size + cand.bit_count() <= best:
+        if size + cand.bit_count() <= best:  # no cover bound is larger
             return
-        b = cand & -cand
-        rest = cand ^ b
-        if not makes_copy(chosen, b):
+        # one clique cover of cand, built a class at a time: each class
+        # takes, from the highest vertex down, every vertex adjacent to all
+        # it holds, as when each vertex joins the first class that fits.
+        # A suffix of cand holds a class's members from the top, so its
+        # bound, the sum of min(members in it, cap), counts the suffix's
+        # members of tops, the cap highest members of each class.
+        tops = 0
+        left = cand
+        while left:
+            fits = left
+            taken = 0
+            while fits:
+                v = fits.bit_length() - 1
+                left ^= 1 << v
+                if taken < cap:
+                    tops |= 1 << v
+                    taken += 1
+                fits &= rows[v]
+        bound = size + tops.bit_count()
+        while cand and bound > best and best < target:
+            b = cand & -cand
+            cand ^= b
+            if b & tops:
+                bound -= 1
+            with_b = chosen | b
             if size + 1 > best:
                 best = size + 1
-                best_mask = chosen | b
-            dfs(rest, chosen | b, size + 1)
-        dfs(rest, chosen, size)
+                best_mask = with_b
+            dfs(keep(with_b, b, cand), with_b, size + 1)
 
     dfs(*root)
     return SolveResult(best, best_mask, nodes)
@@ -163,26 +211,37 @@ def max_clique_free(
         if w.bit_count() != grown_from.size or has_clique(g, w, q):
             raise ValueError("grown_from is not a clique-free witness of its size")
     rows = g.rows
-    need = q - 1
-    return _max_free(
-        g,
-        lambda chosen, b: _clique_within(rows, rows[b.bit_length() - 1] & chosen, need),
-        node_limit,
-        at_least,
-        grown_from,
-    )
+    need = q - 2
+
+    def keep(chosen: int, b: int, later: int) -> int:
+        # a copy through c must also use b, so only b's neighbours can make one
+        row = rows[b.bit_length() - 1]
+        if need == 0:
+            return later & ~row
+        within = chosen & row
+        if within.bit_count() < need:
+            return later
+        risky = later & row
+        while risky:
+            c = risky & -risky
+            risky ^= c
+            if _clique_within(rows, rows[c.bit_length() - 1] & within, need):
+                later ^= c
+        return later
+
+    return _max_free(g, keep, q - 1, node_limit, at_least, grown_from)
 
 
-def _pattern_back(f: Graph, first: int) -> tuple[tuple[int, ...], ...]:
+def _pattern_back(f: Graph, first: int, second: int) -> tuple[tuple[int, ...], ...]:
     """Matching plan for f: each position's pattern neighbours at earlier positions.
 
-    The order starts at first and then keeps taking the vertex with the
-    most neighbours already placed, ties by descending degree then label,
-    so each position after the first is pinned by an earlier image whenever
+    The order starts at first and second, then keeps taking the vertex with
+    the most neighbours already placed, ties by descending degree then
+    label, so each later position is pinned by an earlier image whenever
     the pattern allows it.
     """
-    order = [first]
-    rest = sorted((a for a in range(f.n) if a != first), key=lambda a: (-f.degree(a), a))
+    order = [first, second]
+    rest = sorted((a for a in range(f.n) if a not in order), key=lambda a: (-f.degree(a), a))
     while rest:
         a = max(rest, key=lambda v: sum(f.has_edge(v, o) for o in order))
         rest.remove(a)
@@ -209,32 +268,62 @@ def _embed(rows: list[int], back, pos: int, image: list[int], used: int, within:
     return False
 
 
-def max_pattern_free(
-    g: Graph,
-    f: Graph,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    at_least: int | None = None,
-) -> SolveResult:
+def _pair_plans(f: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One matching plan per orbit of ordered vertex pairs of f under its automorphisms.
+
+    A pair is skipped when an earlier plan maps f onto itself with its two
+    pinned vertices on the pair: an injective edge-preserving map of f into
+    f is an automorphism, so the earlier plan finds the same copies.
+    """
+    plans = []
+    image = [0] * f.n
+    for a in range(f.n):
+        for c in range(f.n):
+            if a == c:
+                continue
+            image[0], image[1] = a, c
+            if not any(
+                (f.has_edge(a, c) or not back[1])
+                and _embed(f.rows, back, 2, image, (1 << a) | (1 << c), f.full_mask)
+                for back in plans
+            ):
+                plans.append(_pattern_back(f, a, c))
+    return tuple(plans)
+
+
+def max_pattern_free(g: Graph, f: Graph) -> SolveResult:
     """Maximum induced subgraph containing no copy of the pattern f.
 
     With f a complete graph this computes the same result as
     max_clique_free, through a general subgraph matcher instead of the
-    clique recursion.  The chosen set is always F-free, so a new copy must
-    use the new vertex: the test pins each pattern vertex to it in turn,
-    with one matching plan per pinned vertex built once per solve.
+    clique recursion.  After an include of b, a later candidate c is
+    dropped when chosen + c holds a copy.  Both chosen and chosen - b + c
+    are F-free, so such a copy uses b and c: the test pins b and c to each
+    ordered pair of pattern vertices in turn, one pair per orbit under the
+    automorphisms of f, with one matching plan per pair built once per
+    solve.
     """
     if f.n < 1 or f.edge_count() == 0:
         raise ValueError("pattern must have at least one edge")
     rows = g.rows
-    plans = tuple(dict.fromkeys(_pattern_back(f, a) for a in range(f.n)))
+    plans = _pair_plans(f)
     image = [0] * f.n
 
-    def makes_copy(chosen: int, b: int) -> bool:
+    def keep(chosen: int, b: int, later: int) -> int:
         image[0] = b.bit_length() - 1
-        return any(_embed(rows, back, 1, image, b, chosen | b) for back in plans)
+        row = rows[image[0]]
+        risky = later
+        while risky:
+            c = risky & -risky
+            risky ^= c
+            image[1] = c.bit_length() - 1
+            adjacent = row & c
+            if any(_embed(rows, back, 2, image, b | c, chosen | c)
+                   for back in plans if adjacent or not back[1]):
+                later ^= c
+        return later
 
-    return _max_free(g, makes_copy, node_limit, at_least)
+    return _max_free(g, keep, f.n - 1, DEFAULT_NODE_LIMIT, None)
 
 
 # -- defect structures --------------------------------------------------------

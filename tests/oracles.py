@@ -410,3 +410,127 @@ def hitting_rep_resolving(lib, t: int, child_seed: int, r: int, j: int, n_max: i
         "t_alpha": t_alpha,
         "t_supply": t_supply,
     }
+
+
+# -- the exact solver with the plain size bound --------------------------------
+
+
+def _clique_within_ref(rows: list[int], cand: int, need: int) -> bool:
+    """True iff cand holds a clique on need >= 1 vertices."""
+    if need == 1:
+        return cand != 0
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        b = cand & -cand
+        cand ^= b
+        if _clique_within_ref(rows, rows[b.bit_length() - 1] & cand, need - 1):
+            return True
+    return False
+
+
+def _plain_max_free(lib, g, makes_copy, node_limit: int, at_least, grown_from=None):
+    """The branch and bound behind both solvers, bounded by |chosen| + |candidates|.
+
+    The search as it was before the clique-cover bound: a greedy seed (or
+    grown_from), then the lowest candidate, include before exclude, each
+    call one node.  lib is the package under test, passed in so this
+    module imports nothing from it; only its SolveResult and
+    NodeLimitError are used.
+    """
+    target = at_least if at_least is not None else g.n + 1
+    if grown_from is None:
+        best_mask = 0
+        best = 0
+        for v in range(g.n):
+            if not makes_copy(best_mask, 1 << v):
+                best_mask |= 1 << v
+                best += 1
+        root = (g.full_mask, 0, 0)
+    else:
+        best, best_mask = grown_from.size, grown_from.witness
+        last = 1 << (g.n - 1)
+        target = min(target, best + 1)
+        if best == 0:
+            best, best_mask = 1, last
+        root = (g.full_mask ^ last, last, 1)
+    nodes = 0
+
+    def dfs(cand: int, chosen: int, size: int):
+        nonlocal best, best_mask, nodes
+        if best >= target:
+            return
+        nodes += 1
+        if nodes > node_limit:
+            raise lib.NodeLimitError(
+                f"solver exceeded {node_limit} nodes",
+                nodes,
+                partial=lib.SolveResult(best, best_mask, nodes),
+            )
+        if size + cand.bit_count() <= best:
+            return
+        b = cand & -cand
+        rest = cand ^ b
+        if not makes_copy(chosen, b):
+            if size + 1 > best:
+                best = size + 1
+                best_mask = chosen | b
+            dfs(rest, chosen | b, size + 1)
+        dfs(rest, chosen, size)
+
+    dfs(*root)
+    return lib.SolveResult(best, best_mask, nodes)
+
+
+def plain_max_clique_free(lib, g, q: int, *, node_limit: int = 10 ** 9,
+                          at_least=None, grown_from=None):
+    """max_clique_free on the plain-bound search; same arguments, no checks."""
+    rows = g.rows
+    need = q - 1
+    return _plain_max_free(
+        lib, g,
+        lambda chosen, b: _clique_within_ref(rows, rows[b.bit_length() - 1] & chosen, need),
+        node_limit, at_least, grown_from,
+    )
+
+
+def _pattern_plan_ref(f, first: int) -> tuple:
+    """Each position's earlier pattern neighbours, in the matcher's order from first."""
+    order = [first]
+    rest = sorted((a for a in range(f.n) if a != first), key=lambda a: (-f.degree(a), a))
+    while rest:
+        a = max(rest, key=lambda v: sum(f.has_edge(v, o) for o in order))
+        rest.remove(a)
+        order.append(a)
+    return tuple(
+        tuple(p for p in range(pos) if f.has_edge(a, order[p]))
+        for pos, a in enumerate(order)
+    )
+
+
+def _embed_ref(rows, back, pos: int, image: list, used: int, within: int) -> bool:
+    if pos == len(back):
+        return True
+    cand = within & ~used
+    for p in back[pos]:
+        cand &= rows[image[p]]
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        image[pos] = b.bit_length() - 1
+        if _embed_ref(rows, back, pos + 1, image, used | b, within):
+            return True
+    return False
+
+
+def plain_max_pattern_free(lib, g, f, *, node_limit: int = 10 ** 9):
+    """max_pattern_free on the plain-bound search, with its pinned matcher."""
+    rows = g.rows
+    plans = tuple(dict.fromkeys(_pattern_plan_ref(f, a) for a in range(f.n)))
+    image = [0] * f.n
+
+    def makes_copy(chosen: int, b: int) -> bool:
+        image[0] = b.bit_length() - 1
+        return any(_embed_ref(rows, back, 1, image, b, chosen | b) for back in plans)
+
+    return _plain_max_free(lib, g, makes_copy, node_limit, None)

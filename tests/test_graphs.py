@@ -254,6 +254,13 @@ def test_graph6_errors():
         graph6_decode("")
 
 
+def test_graph6_error_names_the_first_bad_byte():
+    text = graph6_encode(sample_graph(40, 0))
+    bad = text[:50] + "!" + text[51:90] + " " + text[91:]
+    with pytest.raises(Graph6Error, match="^byte 33 outside the graph6 alphabet$"):
+        graph6_decode(bad)
+
+
 # -- edge-list text ------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cliquefree
 from cliquefree.errors import NodeLimitError
 from cliquefree.graphs import ExposureStream, Graph, mask_to_vertices, sample_graph
 from cliquefree.solver import (
@@ -24,6 +25,8 @@ from oracles import (
     contains_pattern_brute,
     edge_set,
     max_clique_size_in,
+    plain_max_clique_free,
+    plain_max_pattern_free,
     vertex_mask,
 )
 
@@ -115,21 +118,23 @@ def test_max_clique_free_at_least_semantics():
 
 
 # recorded before the clique and pattern solvers shared one search core;
-# node counts included, so any change to the search order shows here
+# node counts included, so any change to the search order shows here.  The
+# node counts were re-recorded when the search took the clique-cover bound
+# (3688, 6922, 23596, 3666, 4606 and 20378 under the plain size bound).
 MAX_CLIQUE_FREE_GOLDEN = [
     ((18, 1, 3), {"size": 11, "witness": [2, 3, 4, 5, 7, 8, 9, 10, 11, 15, 16],
-                  "nodes": 3688}),
+                  "nodes": 54}),
     ((20, 2, 3), {"size": 10, "witness": [0, 3, 4, 10, 11, 12, 13, 14, 16, 18],
-                  "nodes": 6922}),
+                  "nodes": 118}),
     ((22, 3, 3), {"size": 10, "witness": [0, 1, 3, 5, 6, 7, 9, 15, 19, 21],
-                  "nodes": 23596}),
+                  "nodes": 544}),
     ((18, 4, 4), {"size": 13, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 15, 17],
-                  "nodes": 3666}),
+                  "nodes": 300}),
     ((20, 5, 4), {"size": 14, "witness": [0, 1, 2, 3, 5, 7, 9, 10, 11, 13, 14, 15, 16, 19],
-                  "nodes": 4606}),
+                  "nodes": 172}),
     ((21, 6, 4), {"size": 15,
                   "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 20],
-                  "nodes": 20378}),
+                  "nodes": 891}),
 ]
 
 
@@ -149,6 +154,22 @@ def test_max_clique_free_node_limit():
         max_clique_free(g, 3, node_limit=50)
     assert exc.value.nodes > 50
     assert isinstance(exc.value.partial, SolveResult)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_max_clique_free_node_limit_partial(q):
+    g = sample_graph(30, 1)
+    exact = max_clique_free(g, q)
+    en = _edges(g)
+    for limit in (0, 1, exact.nodes // 2, exact.nodes - 1):
+        with pytest.raises(NodeLimitError) as exc:
+            max_clique_free(g, q, node_limit=limit)
+        part = exc.value.partial
+        assert exc.value.nodes == part.nodes == limit + 1
+        assert part.size <= exact.size
+        assert part.witness.bit_count() == part.size
+        assert max_clique_size_in(g.n, en, mask_to_vertices(part.witness)) < q
+    assert max_clique_free(g, q, node_limit=exact.nodes) == exact
 
 
 # -- growing the maximum one vertex at a time ----------------------------------
@@ -221,6 +242,55 @@ def test_grown_max_clique_free_rejects_a_bad_start():
     with pytest.raises(ValueError):  # g has no last vertex
         max_clique_free(Graph.from_edges(0, []), 3, grown_from=SolveResult(0, 0, 0))
     assert max_clique_free(g, 3, grown_from=ok).size == max_clique_free(g, 3).size
+
+
+# -- the cover bound against the plain size bound ----------------------------------
+# The cover cuts only subtrees that cannot strictly beat the incumbent, so
+# size and witness equal those of the plain-bound search in tests/oracles.py.
+
+
+def test_max_clique_free_equals_plain_bound_search():
+    for n in range(23):
+        for seed in range(6):
+            g = sample_graph(n, seed)
+            for q in range(2, 6):
+                plain = plain_max_clique_free(cliquefree, g, q)
+                for at_least in (None, plain.size - 1, plain.size, plain.size + 1):
+                    want = plain if at_least is None else plain_max_clique_free(
+                        cliquefree, g, q, at_least=at_least)
+                    got = max_clique_free(g, q, at_least=at_least)
+                    assert (got.size, got.witness) == (want.size, want.witness), (
+                        n, seed, q, at_least)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_grown_max_clique_free_equals_plain_bound_search(q):
+    for seed in range(10):
+        stream = ExposureStream(seed)
+        got = want = None
+        for n in range(1, GROWN_N_MAX + 1):
+            g = stream.step()
+            want = plain_max_clique_free(cliquefree, g, q, grown_from=want)
+            got = max_clique_free(g, q, grown_from=got)
+            assert (got.size, got.witness) == (want.size, want.witness), (seed, n)
+
+
+PATTERNS = {
+    "K3": Graph.complete(3),
+    "P4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    "C5": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_max_pattern_free_equals_plain_bound_search(name):
+    f = PATTERNS[name]
+    for n in range(15):
+        for seed in range(3):
+            g = sample_graph(n, seed)
+            want = plain_max_pattern_free(cliquefree, g, f)
+            got = max_pattern_free(g, f)
+            assert (got.size, got.witness) == (want.size, want.witness), (n, seed)
 
 
 # -- maximum pattern-free subgraphs ---------------------------------------------
