@@ -1,14 +1,18 @@
 """Exhaustive census of k-subsets with bounded induced edge count.
 
-Vertices are ranked by ascending degree and the search walks k-subsets as
-increasing position sequences.  A prefix carries its later candidates
-bit-sliced by how many neighbours they have among the chosen positions:
-slices[c] is the mask of later positions with exactly c chosen neighbours,
-for c up to the budget the prefix has left.  Choosing position p moves each
-of p's later neighbours up one slice; a position pushed past the remaining
-budget falls out, so no extension is tried and then rejected.  A prefix is
-pruned when its slices hold fewer positions than it still needs, and the
-last level is tallied by a popcount per slice.
+The search walks k-subsets as increasing position sequences.  Counting mode
+takes the vertices themselves as positions and the graph's rows as their
+adjacency, since counts do not depend on the order.  The ranking by
+ascending (degree, label), and the rows relabelled in that order, serve
+listing only: they fix which witnesses a listing truncated at WITNESS_CAP
+keeps.  A prefix carries its later candidates bit-sliced by how many
+neighbours they have among the chosen positions: slices[c] is the mask of
+later positions with exactly c chosen neighbours, for c up to the budget
+the prefix has left.  Choosing position p moves each of p's later
+neighbours up one slice; a position pushed past the remaining budget falls
+out, so no extension is tried and then rejected.  A prefix is pruned when
+its slices hold fewer positions than it still needs, and the last level is
+tallied by a popcount per slice.
 
 Counting mode stops walking once at most one unit of budget is left.  With
 none left only slices[0] remains, and the completions are the independent
@@ -111,23 +115,26 @@ def census(
     if candidates is None:
         candidates = g.full_mask
     candidates &= g.full_mask
-    order = sorted(mask_to_vertices(candidates), key=lambda v: (g.degree(v), v))
-    nn = len(order)
-
-    # adjacency translated to positions in the chosen order
-    pos = [0] * g.n
-    for q, v in enumerate(order):
-        pos[v] = q
-    posadj = []
-    for v in order:
-        m = 0
-        row = g.rows[v] & candidates
-        while row:
-            b = row & -row
-            row ^= b
-            m |= 1 << pos[b.bit_length() - 1]
-        posadj.append(m)
-    vbit = [1 << v for v in order]
+    if witnesses:
+        # adjacency translated to positions in ascending (degree, label) order
+        order = sorted(mask_to_vertices(candidates), key=lambda v: (g.degree(v), v))
+        pos = [0] * g.n
+        for q, v in enumerate(order):
+            pos[v] = q
+        posadj = []
+        for v in order:
+            m = 0
+            row = g.rows[v] & candidates
+            while row:
+                b = row & -row
+                row ^= b
+                m |= 1 << pos[b.bit_length() - 1]
+            posadj.append(m)
+        vbit = [1 << v for v in order]
+        every = (1 << len(order)) - 1
+    else:
+        # counts do not depend on the order: the positions are the vertices
+        posadj, vbit, every = g.rows, None, candidates
 
     result = CensusResult(
         n=g.n, k=k, budget=budget,
@@ -138,7 +145,7 @@ def census(
         if witnesses:
             result.witnesses.append((0, 0))
         return result
-    if nn < k:
+    if every.bit_count() < k:
         return result
 
     # a k-set has at most k(k-1)/2 edges, so no larger budget needs a slice
@@ -178,24 +185,6 @@ def census(
             while not slices[c] & b:
                 c += 1
             wit.append((vm | vbit[b.bit_length() - 1], e + c))
-
-    def spent(cand: int, e: int, need: int, vm: int) -> None:
-        """List the independent need-sets of cand: the budget is used up."""
-        nonlocal nodes
-        while cand.bit_count() >= need:
-            b = cand & -cand
-            cand ^= b
-            p = b.bit_length() - 1
-            sub = cand & ~posadj[p]
-            if sub.bit_count() < need - 1:
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                stop()
-            if need > 2:
-                spent(sub, e, need - 1, vm | vbit[p])
-            else:
-                leaves([sub], sub, e, vm | vbit[p])
 
     def independent(cand: int, need: int) -> int:
         """Count the independent need-sets of cand, for need >= 1."""
@@ -276,8 +265,6 @@ def census(
             tally[e] += independent(rest, need)
         elif wit is None and len(slices) == 2:
             last_unit(slices[0], slices[1], e, need)
-        elif len(slices) == 1:
-            spent(rest, e, need, vm)
         else:
             grow(slices, rest, e, need, vm)
 
@@ -306,9 +293,8 @@ def census(
             nodes += 1
             if nodes > node_limit:
                 stop()
-            branch(child, union, e + c, need - 1, vm | vbit[p])
+            branch(child, union, e + c, need - 1, vm | vbit[p] if vbit else 0)
 
-    every = (1 << nn) - 1
     branch([every] + [0] * (len(tally) - 1), every, 0, k, 0)
     return finish()
 

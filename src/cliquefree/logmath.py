@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -177,6 +178,7 @@ def poisson_tail(lam: float, t: int) -> float:
     return float(pdtrc(t - 1, lam))
 
 
+@lru_cache(maxsize=None)
 def stein_chen_bound(n: int, k: int, i: int) -> LogValue:
     """Poisson-approximation error bound for the i-defect k-set count.
 

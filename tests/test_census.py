@@ -16,8 +16,12 @@ from oracles import edge_set, subsets_census, subsets_witnesses, vertex_mask
 census_module = importlib.import_module("cliquefree.census")
 
 
-def _oracle_args(g):
-    return g.n, edge_set(g.n, g.edges())
+def _tally(witnesses) -> dict:
+    """Counts by edge count of a (mask, edge count) witness list."""
+    counts = {}
+    for _, e in witnesses:
+        counts[e] = counts.get(e, 0) + 1
+    return counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,10 +65,7 @@ def test_census_witnesses_match_bruteforce():
                     ]
                     assert got.witnesses == want, (n, seed, cand, k, budget)
                     assert got.witnesses_complete
-                    counts = {}
-                    for _, e in want:
-                        counts[e] = counts.get(e, 0) + 1
-                    assert got.counts == counts
+                    assert got.counts == _tally(want)
                     if cand == g.full_mask:
                         assert got.counts == subsets_census(n, en, k, budget)
 
@@ -263,11 +264,10 @@ def test_census_counting_matches_listing_tally():
                 for budget in (1, 2, 3):
                     listed = census(g, k, budget, candidates=cand, witnesses=True)
                     assert listed.witnesses_complete
-                    tally = {}
-                    for _, e in listed.witnesses:
-                        tally[e] = tally.get(e, 0) + 1
                     counted = census(g, k, budget, candidates=cand)
-                    assert counted.counts == tally, (n, seed, cand, k, budget)
+                    assert counted.counts == _tally(listed.witnesses), (
+                        n, seed, cand, k, budget
+                    )
 
 
 def test_census_counting_node_limit_stops_in_the_last_unit():
@@ -282,3 +282,40 @@ def test_census_counting_node_limit_stops_in_the_last_unit():
         assert all(part.count(e) <= full.count(e) for e in part.counts)
         assert 0 < part.total < full.total
         assert part.witnesses is None
+
+
+def test_census_counting_on_vertices_matches_relabelled_listing_and_oracle():
+    # counting mode walks the vertices themselves as positions; listing mode
+    # walks them relabelled by (degree, label).  Both must give the same
+    # counts, and so must the brute-force oracle where it is cheap.  The masks
+    # have gaps at low and middle labels, and the three-vertex mask makes most
+    # k exceed the candidates.  Up to n = 20 every (mask, budget) pair runs;
+    # above it each k takes one pair, and any twelve consecutive n give each k
+    # all twelve pairs.
+    for n in range(41):
+        g = sample_graph(n, 1000 + n)
+        en = edge_set(n, g.edges())
+        masks = (
+            None,
+            g.full_mask & ~(0b1001000100101 | 1 << (n // 2)),
+            g.full_mask & 0b1011 << (n // 3),
+        )
+        for k in range(9):
+            brute = subsets_witnesses(n, en, k, 3) if n <= 12 else None
+            if n <= 20:
+                grid = [(cand, budget) for cand in masks for budget in range(4)]
+            else:
+                grid = [(masks[(n + k) % 3], (n + 2 * k) % 4)]
+            for cand, budget in grid:
+                case = (n, k, budget, cand)
+                ground = g.full_mask if cand is None else cand
+                counted = census(g, k, budget, candidates=cand)
+                listed = census(g, k, budget, candidates=cand, witnesses=True)
+                assert listed.witnesses_complete, case
+                assert counted.counts == _tally(listed.witnesses), case
+                if k > ground.bit_count():
+                    assert counted.counts == {} and counted.nodes == 0, case
+                if brute is not None:
+                    want = [(m, e) for m, e in brute if e <= budget and not m & ~ground]
+                    assert listed.witnesses == want, case
+                    assert counted.counts == _tally(want), case

@@ -18,7 +18,7 @@ from cliquefree.experiments import (
     witness_rate,
 )
 from cliquefree.graphs import ExposureStream, sample_graph
-from cliquefree.logmath import poisson_pmf
+from cliquefree.logmath import poisson_pmf, stein_chen_bound
 from cliquefree.rng import sub_seed
 from cliquefree.solver import max_clique_free
 from cliquefree.thresholds import level, level_threshold
@@ -198,17 +198,27 @@ def test_reports_are_deterministic_and_parallel_invariant():
     assert d.to_json() != a.to_json()
 
 
+def test_poisson_check_json_holds_with_cold_and_warm_stein_chen_cache():
+    stein_chen_bound.cache_clear()
+    cold = poisson_check(14, 4, 1, reps=6, seed=3).to_json(include_rows=True)
+    assert stein_chen_bound.cache_info().currsize == 1
+    warm = poisson_check(14, 4, 1, reps=6, seed=3).to_json(include_rows=True)
+    assert stein_chen_bound.cache_info().hits >= 1
+    assert cold == warm
+
+
 # sha256 of to_json(include_rows=True), recorded before the four experiments
 # shared one replicate runner and one JSON writer; the poisson digest was
 # re-recorded when the census kernel redefined its rows' "nodes" (with every
 # row's "nodes" removed, the JSON is byte-identical to the earlier kernel's),
-# and again when counting mode began to count the last unit of budget by core.
+# again when counting mode began to count the last unit of budget by core,
+# and again when counting mode stopped relabelling vertices by degree.
 # The alpha digest was re-recorded when the solver took the clique-cover bound.
 # The second digest is node_free_digest of the same JSON: a kernel change may
 # re-record the first for its "nodes" values, never the second.
 REPORT_GOLDEN = [
     (lambda w: poisson_check(14, 4, 1, reps=6, seed=3, workers=w),
-     "06c03c99a99fedcfbc97590f158ecb47732dee816914da3159ec575cec6bf83e",
+     "dab70f8fa6730212ec5f5d9df5ae2e03ef17fc9b47291f41e658d6cc9e7d50c4",
      "5089c266ebd9ab37bc9399441b83723cd5e4e87cd1992d31cfa1e6c63a8e9bc7"),
     (lambda w: alpha_distribution(16, 2, reps=4, seed=5, workers=w),
      "355c23324f13e9eb6118fef1c90be751c01ec81fb027b7f4c06077787bc34481",
