@@ -42,6 +42,5 @@ else:
         print(f"  cover for defect ({u},{v}): {mask_to_vertices(cov)}")
     print(f"  union size {structure.size}, verified: "
           f"{verify_structure(g, structure)}")
-    direct = max_clique_free(g, 3, at_least=structure.size)
     print(f"  exact solver confirms alpha_3 >= {structure.size}: "
-          f"{direct.size >= structure.size}")
+          f"{res.size >= structure.size}")

@@ -49,7 +49,6 @@ from .graphs import (
 from .logmath import (
     LogValue,
     expected_defect_sets,
-    expected_independent_sets,
     log_binomial,
     poisson_pmf,
     poisson_tail,
@@ -63,7 +62,7 @@ from .profiles import (
     mu_xi_table,
     structure_accounting,
 )
-from .rng import pair_index, stream_at, stream_block, sub_seed
+from .rng import stream_at, stream_block, sub_seed
 from .solver import (
     DefectStructure,
     SolveResult,

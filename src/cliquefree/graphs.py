@@ -5,12 +5,13 @@ bit v is set iff uv is an edge.  Vertex sets are plain int masks, so set
 algebra is bitwise arithmetic and counting is int.bit_count().  The size
 cap of 512 vertices keeps every mask a handful of machine words.
 
-Sampling is counter-mode: edge {u, v} of the graph with a given seed is
-decided by the low bit of the SplitMix64 stream at position
-pair_index(u, v).  Because the pair index orders pairs by (max, min),
-adding vertex v consumes the contiguous stream block [C(v,2), C(v+1,2)),
-and growing a graph one vertex at a time (vertex exposure) reproduces the
-one-shot sample exactly.
+Sampling is counter-mode: the pairs u < v are ordered by (max, min), and
+edge {u, v} of the graph with a given seed is decided by the low bit of
+the SplitMix64 stream at the pair's position C(v,2) + u.  Adding vertex v
+consumes the contiguous stream block [C(v,2), C(v+1,2)), so the first m
+vertices of any larger sample are the sample on m vertices, and growing a
+graph one vertex at a time (vertex exposure) reproduces the one-shot
+sample exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import Graph6Error
-from .rng import pair_index, stream_block
+from .rng import stream_block
 
 MAX_VERTICES = 512
 
@@ -154,7 +155,7 @@ def covers_edge(g: Graph, mask: int, u: int, v: int) -> bool:
 
 
 def edge_coins(n: int, seed: int) -> np.ndarray:
-    """The C(n,2) edge indicator bits for (n, seed), in pair_index order."""
+    """The C(n,2) edge indicator bits for (n, seed), in (max, min) pair order."""
     _check_vertex_count(n)
     total = n * (n - 1) // 2
     return (stream_block(seed, 0, total) & np.uint64(1)).astype(np.uint8)
@@ -167,7 +168,7 @@ def sample_graph(n: int, seed: int) -> Graph:
 
 @lru_cache(maxsize=64)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v, u) index arrays of the pairs u < v, listed in pair_index order.
+    """(v, u) index arrays of the pairs u < v, listed in (max, min) order.
 
     np.tril_indices(n, -1) walks the strict lower triangle row by row, so
     it yields (v, u) v-major with ascending u: exactly (max, min) order.
@@ -180,7 +181,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows_from_pair_bits(n: int, bits: np.ndarray) -> list[int]:
-    """Adjacency rows of the graph whose C(n,2) edge bits are in pair_index order."""
+    """Adjacency rows of the graph whose C(n,2) edge bits are in (max, min) order."""
     v, u = _pairs(n)
     adj = np.zeros((n, n), dtype=bool)
     adj[v, u] = bits
@@ -204,36 +205,28 @@ class ExposureStream:
     """Vertex-by-vertex growth of the seeded random graph.
 
     After m calls to step() the current graph equals sample_graph(m, seed)
-    bit for bit: step v consumes stream positions pair_index(0, v) ..
-    pair_index(v-1, v), the same coins the one-shot sampler uses.
+    bit for bit.  Pairs are ordered by (max, min), so the first m vertices
+    of sample_graph(N, seed) for any N >= m are sample_graph(m, seed): the
+    stream holds one sample and returns its prefixes, sampling again at
+    twice the size when a step runs past it.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._rows: list[int] = []
-
-    @property
-    def n(self) -> int:
-        return len(self._rows)
+        self.n = 0
+        self._sample = Graph(0, (), validate=False)
 
     @property
     def graph(self) -> Graph:
-        return Graph(self.n, self._rows, validate=False)
+        keep = (1 << self.n) - 1
+        return Graph(self.n, [row & keep for row in self._sample.rows[:self.n]], validate=False)
 
     def step(self) -> Graph:
-        v = len(self._rows)
-        if v >= MAX_VERTICES:
+        if self.n >= MAX_VERTICES:
             raise ValueError("exposure stream exceeded the vertex cap")
-        if v == 0:
-            self._rows.append(0)
-            return self.graph
-        bits = stream_block(self.seed, pair_index(0, v), v) & np.uint64(1)
-        new_row = 0
-        for u in np.nonzero(bits)[0]:
-            u = int(u)
-            new_row |= 1 << u
-            self._rows[u] |= 1 << v
-        self._rows.append(new_row)
+        self.n += 1
+        if self.n > self._sample.n:
+            self._sample = sample_graph(min(2 * self.n, MAX_VERTICES), self.seed)
         return self.graph
 
 

@@ -14,8 +14,6 @@ Conventions:
 * ``expected_defect_sets(n, k, i)`` is the mean number of k-vertex subsets
   of a uniform random graph on n vertices whose induced subgraph has
   exactly i edges: C(n,k) * C(C(k,2), i) * 2^(-C(k,2)).
-* ``expected_independent_sets(n, k)`` is the i = 0 case, evaluated through
-  the identical code path so the two agree bit for bit.
 * Total variation distance between integer-valued laws is the full L1 sum
   sum_v |P(X = v) - Q(v)| with no factor 1/2.  Every bound and every
   empirical distance in this package uses this convention.
@@ -147,11 +145,6 @@ def expected_defect_sets(n: int, k: int, i: int) -> LogValue:
         return LogValue.zero()
     P = pair_count(k)
     return log_binomial(n, k) * log_binomial(P, i) * two_pow(-P)
-
-
-def expected_independent_sets(n: int, k: int) -> LogValue:
-    """Mean number of independent k-subsets; the i = 0 defect case."""
-    return expected_defect_sets(n, k, 0)
 
 
 def poisson_pmf(lam: float, t: int) -> float:

@@ -61,17 +61,3 @@ def sub_seed(master: int, index: int) -> int:
     """
     return stream_at(master, index)
 
-
-def pair_index(u: int, v: int) -> int:
-    """Canonical counter position of the vertex pair ``{u, v}``.
-
-    Pairs are ordered by (max, min): all pairs inside {0..v-1} come before
-    any pair touching v.  Adding vertex v to a graph therefore consumes the
-    contiguous counter block [C(v,2), C(v+1,2)), which is what lets the
-    one-shot sampler and the vertex-exposure stream agree edge for edge.
-    """
-    if u == v or u < 0 or v < 0:
-        raise ValueError("pair_index needs two distinct non-negative vertices")
-    if u > v:
-        u, v = v, u
-    return v * (v - 1) // 2 + u

@@ -95,7 +95,6 @@ def _max_free(
     keep,
     cap: int,
     node_limit: int,
-    at_least: int | None,
     grown_from: SolveResult | None = None,
 ) -> SolveResult:
     """Branch and bound behind max_clique_free and max_pattern_free.
@@ -105,17 +104,18 @@ def _max_free(
     cap = |F| - 1 is the most vertices of a clique an F-free set can hold.
     The greedy seed keeps, in vertex order, each vertex that makes no
     copy.  With grown_from, the exact result for g without its last
-    vertex v, the incumbent is grown_from instead and the search roots at
-    the set {v}.  Each call includes its candidates in ascending order and
-    stops once the clique-cover bound of the untried ones cannot beat the
-    incumbent (module docstring); one node is one call.  Only subtrees that
-    cannot strictly beat the incumbent are cut, so size and witness are
-    those of the plain size bound.
+    vertex v, the incumbent is grown_from instead, the search roots at the
+    set {v} and it stops on reaching grown_from.size + 1.  Each call
+    includes its candidates in ascending order and stops once the
+    clique-cover bound of the untried ones cannot beat the incumbent
+    (module docstring); one node is one call.  Only subtrees that cannot
+    strictly beat the incumbent are cut, so size and witness are those of
+    the plain size bound.
     """
     if node_limit < 0:
         raise ValueError("node_limit must be non-negative")
     rows = g.rows
-    target = at_least if at_least is not None else g.n + 1
+    target = g.n + 1
     if grown_from is None:
         best_mask = 0
         cand = g.full_mask
@@ -128,7 +128,7 @@ def _max_free(
     else:
         best, best_mask = grown_from.size, grown_from.witness
         last = 1 << (g.n - 1)
-        target = min(target, best + 1)
+        target = best + 1
         if best == 0:  # g is the one vertex v
             best, best_mask = 1, last
         root = (keep(last, last, g.full_mask ^ last), last, 1)
@@ -187,20 +187,16 @@ def max_clique_free(
     q: int,
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    at_least: int | None = None,
     grown_from: SolveResult | None = None,
 ) -> SolveResult:
     """Maximum induced subgraph with no clique on q vertices.
 
-    at_least stops the search as soon as a witness of that size is found;
-    the returned size is then a lower bound rather than the maximum.
-
-    grown_from is the exact result (no at_least) for g without its last
-    vertex v, as when a graph grows one vertex at a time.  The maximum of g
-    is then grown_from.size or one more, and a larger set must contain v,
-    so only sets through v are searched; the result is still the exact
-    maximum.  A grown_from whose witness reaches v, lies outside g, does
-    not match its size or holds a clique on q vertices raises ValueError.
+    grown_from is the exact result for g without its last vertex v, as
+    when a graph grows one vertex at a time.  The maximum of g is then
+    grown_from.size or one more, and a larger set must contain v, so only
+    sets through v are searched; the result is still the exact maximum.
+    A grown_from whose witness reaches v, lies outside g, does not match
+    its size or holds a clique on q vertices raises ValueError.
     """
     if q < 2:
         raise ValueError("clique order q must be at least 2")
@@ -229,7 +225,7 @@ def max_clique_free(
                 later ^= c
         return later
 
-    return _max_free(g, keep, q - 1, node_limit, at_least, grown_from)
+    return _max_free(g, keep, q - 1, node_limit, grown_from)
 
 
 def _pattern_back(f: Graph, first: int, second: int) -> tuple[tuple[int, ...], ...]:
@@ -323,7 +319,7 @@ def max_pattern_free(g: Graph, f: Graph) -> SolveResult:
                 later ^= c
         return later
 
-    return _max_free(g, keep, f.n - 1, DEFAULT_NODE_LIMIT, None)
+    return _max_free(g, keep, f.n - 1, DEFAULT_NODE_LIMIT)
 
 
 # -- defect structures --------------------------------------------------------

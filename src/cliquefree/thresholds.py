@@ -31,7 +31,6 @@ from .errors import ThresholdChainError
 from .logmath import (
     LogValue,
     expected_defect_sets,
-    expected_independent_sets,
     poisson_tail,
 )
 from .profiles import breakpoint_profile, mu_xi
@@ -79,7 +78,7 @@ def level_threshold(k: int) -> int:
     if k < _MIN_LEVEL:
         raise ValueError(f"level threshold needs k >= {_MIN_LEVEL}")
     target = LogValue.from_number(math.log(k))
-    return _min_n(lambda n: expected_independent_sets(n, k) >= target, k - 1)
+    return _min_n(lambda n: expected_defect_sets(n, k, 0) >= target, k - 1)
 
 
 def level(n: int) -> int:

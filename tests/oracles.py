@@ -67,6 +67,20 @@ def splitmix_sequential(seed: int, count: int) -> list[int]:
     return out
 
 
+def pair_index(u: int, v: int) -> int:
+    """Stream position of the vertex pair {u, v} in the package's pair order.
+
+    Pairs are ordered by (max, min): all pairs inside {0..v-1} come before
+    any pair touching v, so adding vertex v consumes the contiguous block
+    [C(v,2), C(v+1,2)).
+    """
+    if u == v or u < 0 or v < 0:
+        raise ValueError("pair_index needs two distinct non-negative vertices")
+    if u > v:
+        u, v = v, u
+    return v * (v - 1) // 2 + u
+
+
 # -- tiny graph toolkit on explicit edge sets ----------------------------------
 
 
@@ -376,32 +390,23 @@ def tv_full_l1(pmf: np.ndarray, lam: float, extra_terms: int = 400) -> float:
 
 
 def hitting_rep_resolving(lib, t: int, child_seed: int, r: int, j: int, n_max: int) -> dict:
-    """A hitting_times replicate that decides the size target from scratch.
+    """A hitting_times replicate that re-samples and re-solves every step.
 
-    The replicate function as it was before the exposure-incremental
-    search: every step re-solves max_clique_free with at_least=target.
-    lib is the package under test, passed in so this module imports
-    nothing from it.
+    The graph at step n is the one-shot sample_graph(n, child_seed), and
+    the size target is decided by a full exact solve, so neither the
+    exposure stream nor the grown search is used.  lib is the package
+    under test, passed in so this module imports nothing from it.
     """
     mu, xi = lib.mu_xi(r, j)
-    stream = lib.ExposureStream(child_seed)
     t_alpha = None
     t_supply = None
-    start = lib.level_threshold(3)
-    for n in range(1, n_max + 1):
-        g = stream.step()
-        if n < start:
-            continue
+    for n in range(lib.level_threshold(3), n_max + 1):
+        g = lib.sample_graph(n, child_seed)
         k = lib.level(n)
-        target = k * r + j
-        if t_alpha is None:
-            res = lib.max_clique_free(g, r + 1, at_least=target)
-            if res.size >= target:
-                t_alpha = n
-        if t_supply is None:
-            c = lib.census(g, k + 1, mu)
-            if c.count(mu) >= xi:
-                t_supply = n
+        if t_alpha is None and lib.max_clique_free(g, r + 1).size >= k * r + j:
+            t_alpha = n
+        if t_supply is None and lib.census(g, k + 1, mu).count(mu) >= xi:
+            t_supply = n
         if t_alpha is not None and t_supply is not None:
             break
     return {
@@ -429,7 +434,7 @@ def _clique_within_ref(rows: list[int], cand: int, need: int) -> bool:
     return False
 
 
-def _plain_max_free(lib, g, makes_copy, node_limit: int, at_least, grown_from=None):
+def _plain_max_free(lib, g, makes_copy, node_limit: int, grown_from=None):
     """The branch and bound behind both solvers, bounded by |chosen| + |candidates|.
 
     The search as it was before the clique-cover bound: a greedy seed (or
@@ -438,7 +443,7 @@ def _plain_max_free(lib, g, makes_copy, node_limit: int, at_least, grown_from=No
     module imports nothing from it; only its SolveResult and
     NodeLimitError are used.
     """
-    target = at_least if at_least is not None else g.n + 1
+    target = g.n + 1
     if grown_from is None:
         best_mask = 0
         best = 0
@@ -450,7 +455,7 @@ def _plain_max_free(lib, g, makes_copy, node_limit: int, at_least, grown_from=No
     else:
         best, best_mask = grown_from.size, grown_from.witness
         last = 1 << (g.n - 1)
-        target = min(target, best + 1)
+        target = best + 1
         if best == 0:
             best, best_mask = 1, last
         root = (g.full_mask ^ last, last, 1)
@@ -482,15 +487,14 @@ def _plain_max_free(lib, g, makes_copy, node_limit: int, at_least, grown_from=No
     return lib.SolveResult(best, best_mask, nodes)
 
 
-def plain_max_clique_free(lib, g, q: int, *, node_limit: int = 10 ** 9,
-                          at_least=None, grown_from=None):
+def plain_max_clique_free(lib, g, q: int, *, node_limit: int = 10 ** 9, grown_from=None):
     """max_clique_free on the plain-bound search; same arguments, no checks."""
     rows = g.rows
     need = q - 1
     return _plain_max_free(
         lib, g,
         lambda chosen, b: _clique_within_ref(rows, rows[b.bit_length() - 1] & chosen, need),
-        node_limit, at_least, grown_from,
+        node_limit, grown_from,
     )
 
 
@@ -533,4 +537,4 @@ def plain_max_pattern_free(lib, g, f, *, node_limit: int = 10 ** 9):
         image[0] = b.bit_length() - 1
         return any(_embed_ref(rows, back, 1, image, b, chosen | b) for back in plans)
 
-    return _plain_max_free(lib, g, makes_copy, node_limit, None)
+    return _plain_max_free(lib, g, makes_copy, node_limit)

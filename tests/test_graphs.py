@@ -21,13 +21,14 @@ from cliquefree.graphs import (
     read_graph,
     sample_graph,
 )
-from cliquefree.rng import pair_index, stream_at
+from cliquefree.rng import stream_at
 
 from oracles import (
     TEST_SEED,
     edge_list_text,
     edge_set,
     graph6_from_definition,
+    pair_index,
     vertex_mask,
 )
 
@@ -183,13 +184,18 @@ def test_sample_graph_determinism_and_seed_sensitivity():
 
 
 def test_exposure_stream_matches_one_shot():
-    ex = ExposureStream(TEST_SEED)
-    for m in range(1, 12):
-        g = ex.step()
-        assert g.n == m
-        assert g == sample_graph(m, TEST_SEED), m
-    assert ex.n == 11
-    assert ex.graph == sample_graph(11, TEST_SEED)
+    # every prefix up to the cap, across each resample of the held sample
+    for seed in (TEST_SEED, 0, 11):
+        ex = ExposureStream(seed)
+        assert ex.n == 0 and ex.graph == sample_graph(0, seed)
+        for m in range(1, MAX_VERTICES + 1):
+            want = sample_graph(m, seed)
+            assert ex.step() == want, (seed, m)
+            assert ex.n == m
+            assert ex.graph == want, (seed, m)
+        with pytest.raises(ValueError):
+            ex.step()
+        assert ex.n == MAX_VERTICES
 
 
 # -- graph6 --------------------------------------------------------------------

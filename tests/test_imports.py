@@ -1,9 +1,10 @@
 """Dead-name checks with ast, since no linter is installed.
 
-No imported name goes unused, and every top-level library name and every
-method of a top-level library class has a caller outside the tests.  The
-package's __init__.py is skipped by both: its imports are the public
-exports, and an export is not a caller.
+No imported name goes unused, every top-level library name and every
+method of a top-level library class has a caller outside the tests, and
+every parameter with a default is passed by some call outside the tests.
+The package's __init__.py is skipped by all three: its imports are the
+public exports, and an export is not a caller.
 """
 
 import ast
@@ -179,3 +180,134 @@ def test_every_library_name_has_a_caller_outside_the_tests():
     callers = [path.read_text() for path in CALLERS]
     uncalled = sorted(set(uncalled_names(modules, callers)) - TEST_ONLY_NAMES)
     assert not uncalled, f"only the tests call {', '.join(uncalled)}"
+
+
+def defaulted_params(stmt) -> list[tuple]:
+    """(qualified name, callee name, def, parameter, position) for each
+    parameter with a default of a top-level def or of a method of a
+    top-level class.  A class's __init__ is called by the class's name.
+    position is the index among a call's positional arguments, None for a
+    keyword-only parameter; a method's self or cls takes none."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        defs = [(stmt.name, stmt.name, stmt, 0)]
+    elif isinstance(stmt, ast.ClassDef):
+        defs = [
+            (f"{stmt.name}.{s.name}", stmt.name if s.name == "__init__" else s.name, s,
+             0 if "staticmethod" in referenced(*s.decorator_list) else 1)
+            for s in stmt.body
+            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (s.name == "__init__" or not is_dunder(s.name))
+        ]
+    else:
+        defs = []
+    out = []
+    for qualified, callee, fn, shift in defs:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(qualified, callee, fn, p.arg, i - shift)
+                for i, p in enumerate(positional) if i >= first]
+        out += [(qualified, callee, fn, p.arg, None)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def callee_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def passes(call: ast.Call, callee: str, param: str, position, known: set) -> bool:
+    """True if call may pass param to the def called callee.  A call
+    through a variable (a callee name no library def or class has) counts
+    for every def it names a keyword of; a call by name counts when it
+    passes param by keyword, by position, or through * or ** unpacking."""
+    name = callee_name(call)
+    if any(k.arg == param for k in call.keywords):
+        return name == callee or name not in known
+    if name != callee:
+        return False
+    if any(k.arg is None for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+
+def unpassed_params(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """module.def.parameter for each parameter with a default of modules
+    that no call in modules or callers passes.  A def's own body does not
+    count, so a recursive call that forwards the parameter is no caller."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    calls = [
+        node
+        for tree in list(trees.values()) + [ast.parse(text) for text in callers]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    params = [(module, *p) for module, tree in trees.items()
+              for stmt in tree.body for p in defaulted_params(stmt)]
+    known = {callee for _, _, callee, *_ in params} | {
+        name for tree in trees.values() for stmt in tree.body
+        for name in top_level_names(stmt)
+    }
+    out = []
+    for module, qualified, callee, fn, param, position in params:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(passes(call, callee, param, position, known)
+                   for call in calls if id(call) not in own):
+            out.append(f"{module}.{qualified}.{param}")
+    return out
+
+
+def test_unpassed_checker_flags_a_default_no_call_passes():
+    module = """
+def f(a, b=1, c=2, *, d=3, e=4, g=5):
+    return f(a, d=d)
+
+
+def h(x, y=0):
+    return x
+
+
+def unpacked(p=0, *, q=0):
+    return p
+
+
+class C:
+    def __init__(self, size=0, fill=None):
+        self.size = size
+
+    def grow(self, by=1, *, twice=False):
+        return self.size + by
+
+    @staticmethod
+    def made(n, spare=0):
+        return C(n)
+"""
+    caller = """
+f(0, 1, e=2)
+run = h
+run(1, g=2)
+args = (1,)
+unpacked(*args, **{"q": 1})
+C(3).grow(2)
+C.made(1)
+"""
+    # b by position, e by keyword, g through a variable; d only by the
+    # recursive call in f; h's y has no call at all; grow's self takes no
+    # position, made has no self
+    assert unpassed_params({"m": module}, [caller]) == [
+        "m.f.c", "m.f.d", "m.h.y", "m.C.__init__.fill", "m.C.grow.twice", "m.C.made.spare"
+    ]
+
+
+def test_every_library_default_is_passed_outside_the_tests():
+    modules = {path.stem: path.read_text() for path in LIBRARY}
+    callers = [path.read_text() for path in CALLERS]
+    unpassed = unpassed_params(modules, callers)
+    assert not unpassed, f"no call outside the tests passes {', '.join(unpassed)}"

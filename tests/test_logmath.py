@@ -12,7 +12,6 @@ from cliquefree.logmath import (
     LN2,
     LogValue,
     expected_defect_sets,
-    expected_independent_sets,
     log_binomial,
     log_sum,
     poisson_pmf,
@@ -146,13 +145,6 @@ def test_expected_defect_sets_matches_exact_rationals():
                 got = expected_defect_sets(n, k, i)
                 want = exact_expected_defect(n, k, i)
                 assert close(got, want), (n, k, i)
-
-
-def test_independent_sets_is_the_zero_defect_path():
-    for n, k in [(10, 4), (30, 7), (100, 12), (10 ** 12, 40)]:
-        a = expected_independent_sets(n, k)
-        b = expected_defect_sets(n, k, 0)
-        assert a.sign == b.sign and a.ln == b.ln  # bit-identical
 
 
 # -- poisson helpers -------------------------------------------------------------

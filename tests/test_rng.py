@@ -6,12 +6,11 @@ import pytest
 from cliquefree.rng import (
     GAMMA,
     mix64,
-    pair_index,
     stream_at,
     stream_block,
     sub_seed,
 )
-from oracles import TEST_SEED, TEST_STREAM, splitmix_sequential
+from oracles import TEST_SEED, TEST_STREAM, pair_index, splitmix_sequential
 
 
 def test_published_stream_vector():

@@ -106,17 +106,6 @@ def test_max_clique_free_extremes():
         max_clique_free(Graph.from_edges(3, []), 1)
 
 
-def test_max_clique_free_at_least_semantics():
-    g = sample_graph(14, 5)
-    exact = max_clique_free(g, 3)
-    early = max_clique_free(g, 3, at_least=exact.size - 2)
-    assert exact.size - 2 <= early.size <= exact.size
-    assert not has_clique(g, early.witness, 3)
-    # a target above the maximum cannot trigger the early exit
-    full = max_clique_free(g, 3, at_least=exact.size + 1)
-    assert full.size == exact.size
-
-
 # recorded before the clique and pattern solvers shared one search core;
 # node counts included, so any change to the search order shows here.  The
 # node counts were re-recorded when the search took the clique-cover bound
@@ -199,16 +188,6 @@ def test_grown_max_clique_free_along_exposure_streams(q):
                 checked = res.witness
 
 
-def test_grown_max_clique_free_with_at_least():
-    g = sample_graph(16, 2)
-    before = max_clique_free(sample_graph(15, 2), 3)  # g without its last vertex
-    exact = max_clique_free(g, 3)
-    assert max_clique_free(g, 3, grown_from=before, at_least=before.size).nodes == 0
-    grown = max_clique_free(g, 3, grown_from=before, at_least=exact.size)
-    assert grown.size == exact.size
-    assert not has_clique(g, grown.witness, 3)
-
-
 def test_grown_max_clique_free_node_limit_partial():
     stream = ExposureStream(3)
     for _ in range(23):
@@ -254,13 +233,9 @@ def test_max_clique_free_equals_plain_bound_search():
         for seed in range(6):
             g = sample_graph(n, seed)
             for q in range(2, 6):
-                plain = plain_max_clique_free(cliquefree, g, q)
-                for at_least in (None, plain.size - 1, plain.size, plain.size + 1):
-                    want = plain if at_least is None else plain_max_clique_free(
-                        cliquefree, g, q, at_least=at_least)
-                    got = max_clique_free(g, q, at_least=at_least)
-                    assert (got.size, got.witness) == (want.size, want.witness), (
-                        n, seed, q, at_least)
+                want = plain_max_clique_free(cliquefree, g, q)
+                got = max_clique_free(g, q)
+                assert (got.size, got.witness) == (want.size, want.witness), (n, seed, q)
 
 
 @pytest.mark.parametrize("q", [3, 4])

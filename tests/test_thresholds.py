@@ -7,7 +7,6 @@ import pytest
 from cliquefree.logmath import (
     LogValue,
     expected_defect_sets,
-    expected_independent_sets,
     poisson_tail,
 )
 from cliquefree.thresholds import (
@@ -36,8 +35,8 @@ def test_level_threshold_certificates():
     for k in range(3, 31):
         a_k = level_threshold(k)
         target = LogValue.from_number(math.log(k))
-        assert expected_independent_sets(a_k, k) >= target
-        assert expected_independent_sets(a_k - 1, k) < target
+        assert expected_defect_sets(a_k, k, 0) >= target
+        assert expected_defect_sets(a_k - 1, k, 0) < target
 
 
 def test_level_threshold_strictly_increasing():
