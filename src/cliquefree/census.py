@@ -17,25 +17,33 @@ tallied by a popcount per slice.
 Counting mode stops walking once at most one unit of budget is left.  With
 none left only slices[0] remains, and the completions are the independent
 sets of that mask, counted by one independent-set counter.  With one left,
-a completion has at most one new edge, and it splits in exactly one way
-into a core that carries the edge and an independent rest: no core, a
-position x of slices[1], or an edge uv inside slices[0], with the rest
-drawn from all of slices[0] outside the core's neighbourhood.  Each core's
-rest is counted by the same counter.  Listing mode walks every prefix and
-carries the chosen vertex mask down to the leaves, so a truncated witness
-list keeps the walk's first witnesses.
+a completion of need positions draws need - 1 of them from slices[0] =: s0,
+independent of each other, and the last from s0 or slices[1] =: s1.  One
+walk over the independent (need - 1)-subsets S of s0 counts them all.  It
+carries two masks: z, the positions of s0 | s1 with no neighbour in S, and
+hi, the positions of s0 with exactly one neighbour in S that lie above it.
+Choosing position b (as a bit), whose row is adj, updates them to
+z & ~adj and (hi & ~adj) | (z & adj & s0 & ~(2b - 1)).  Once S is whole,
+with b its last position, the walk's remaining candidates above b outside
+adj complete it with no new edge, and z & s1 and hi (after the update)
+with exactly one.  A completion C with one new edge uv, u < v, is counted
+once, from S = C - {v}.  Since z & s0 above b is the walk's candidate
+mask, the code carries only that and the union of z & s1 with hi, which
+one rule drops and one popcount tallies.  Listing mode walks every prefix
+and carries the chosen vertex mask down to the leaves, so a truncated
+witness list keeps the walk's first witnesses.
 
 Node accounting: every extension the search takes to a prefix of at most
 k - 1 positions counts as one node: in the walk, in the independent-set
-counter, and for each core position the one-unit count takes (a position
-of slices[1], an edge core's first endpoint, and its second endpoint when
-the set needs more than the core).  An extension
-whose candidates are too few to complete the set is pruned before it is
+counter, and in the one-unit walk, where each position added to S is one.
+An extension whose candidates are too few to complete the set (for the
+last position of S: that nothing completes it) is pruned before it is
 taken and is not counted, and the k-th position is tallied by popcount and
 adds none.  Counting and listing the same census may take different node
 counts.  Searches carry a node limit and raise NodeLimitError with a
 partial result holding the tallies made so far, so runaway parameter
-choices fail loudly instead of hanging.
+choices fail loudly instead of hanging.  The one-unit walk tallies as it
+goes, so its partial counts are lower bounds that grow with the limit.
 """
 
 from __future__ import annotations
@@ -205,54 +213,44 @@ def census(
             total += size if need == 2 else independent(sub, need - 1)
         return total
 
-    def last_unit(s0: int, s1: int, e: int, need: int) -> None:
-        """Tally a prefix's completions by need >= 2 positions, one budget unit left.
+    def walk(cand: int, w: int, e: int, left: int) -> None:
+        """Tally one-unit completions while choosing the last left >= 1 of S.
 
-        s0 and s1 hold the later positions with no and with one chosen
-        neighbour.  A completion with no new edge is an independent need-set
-        of s0.  One with a new edge has a core -- a position x of s1, or an
-        edge uv inside s0 -- and an independent rest drawn from all of s0
-        outside the core's neighbourhood (which holds u and v themselves).
+        S is an independent (need - 1)-subset of s0, walked in ascending
+        order; cand holds the positions of s0 above S's last position with
+        no neighbour in S, and w is z & s1 | hi: the positions that complete
+        S with exactly one new edge and are counted from S.  Once S is
+        whole, cand's positions outside the last one's row complete it with
+        no new edge.
         """
         nonlocal nodes
-        if s0.bit_count() < need - 1:  # every completion takes need - 1 of s0
-            return
-        tally[e] += independent(s0, need)
-        while s1:
-            b = s1 & -s1
-            s1 ^= b
-            rest = s0 & ~posadj[b.bit_length() - 1]
-            if rest.bit_count() < need - 1:
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                stop()
-            tally[e + 1] += independent(rest, need - 1)
-        later = s0
-        while later:
-            b = later & -later
-            later ^= b
-            adj = posadj[b.bit_length() - 1]
-            ends = later & adj
-            if not ends:
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                stop()
-            if need == 2:
-                tally[e + 1] += ends.bit_count()
-                continue
-            away = s0 & ~adj
-            while ends:
-                v = ends & -ends
-                ends ^= v
-                rest = away & ~posadj[v.bit_length() - 1]
-                if rest.bit_count() < need - 2:
+        if left > 1:
+            while cand.bit_count() >= left:
+                b = cand & -cand
+                cand ^= b
+                adj = posadj[b.bit_length() - 1]
+                later = cand & ~adj
+                if later.bit_count() < left - 1:
                     continue
                 nodes += 1
                 if nodes > node_limit:
                     stop()
-                tally[e + 1] += independent(rest, need - 2)
+                walk(later, (w & ~adj) | (cand & adj), e, left - 1)
+            return
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            adj = posadj[b.bit_length() - 1]
+            up = cand & adj
+            none = cand.bit_count() - up.bit_count()
+            one = (w & ~adj).bit_count() + up.bit_count()
+            if not none | one:
+                continue
+            nodes += 1
+            if nodes > node_limit:
+                stop()
+            tally[e] += none
+            tally[e + 1] += one
 
     def branch(slices: list[int], rest: int, e: int, need: int, vm: int) -> None:
         """Complete a prefix with e edges by need >= 1 more positions.
@@ -264,7 +262,7 @@ def census(
         elif wit is None and len(slices) == 1:
             tally[e] += independent(rest, need)
         elif wit is None and len(slices) == 2:
-            last_unit(slices[0], slices[1], e, need)
+            walk(slices[0], slices[1], e, need - 1)
         else:
             grow(slices, rest, e, need, vm)
 

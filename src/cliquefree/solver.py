@@ -396,7 +396,9 @@ def build_structure(
 
     Deterministic: candidate parts and covers are tried in ascending mask
     order, so the same graph always yields the same structure.  Returns
-    None when the search space is exhausted without a hit.
+    None when the search space is exhausted without a hit.  The parts are
+    counted before they are listed: when too few exist, it returns None
+    with no listing.
     """
     if k < 1:
         raise ValueError("part size parameter k must be positive")
@@ -404,10 +406,15 @@ def build_structure(
     need_small = xi          # parts with mu defects
     need_large = j - xi      # parts with mu + 1 defects
 
-    scan = census(
-        g, k + 1, mu + (1 if need_large else 0),
-        witnesses=True, node_limit=node_limit,
-    )
+    budget = mu + (1 if need_large else 0)
+    try:
+        supply = census(g, k + 1, budget, node_limit=node_limit)
+    except NodeLimitError:
+        pass  # a count cut short decides nothing: the listing stops as it would
+    else:
+        if supply.count(mu) < need_small or supply.count(mu + 1) < need_large:
+            return None
+    scan = census(g, k + 1, budget, witnesses=True, node_limit=node_limit)
     if not scan.witnesses_complete:
         raise NodeLimitError(
             "part enumeration exceeded the witness cap", scan.nodes, partial=scan

@@ -538,3 +538,92 @@ def plain_max_pattern_free(lib, g, f, *, node_limit: int = 10 ** 9):
         return any(_embed_ref(rows, back, 1, image, b, chosen | b) for back in plans)
 
     return _plain_max_free(lib, g, makes_copy, node_limit)
+
+
+# -- the census count with the last unit of budget split by defect core -------
+
+
+def _independent_ref(rows: list[int], cand: int, need: int) -> int:
+    """Count the independent need-sets of cand, for need >= 1."""
+    if need == 1:
+        return cand.bit_count()
+    total = 0
+    while cand.bit_count() >= need:
+        b = cand & -cand
+        cand ^= b
+        sub = cand & ~rows[b.bit_length() - 1]
+        if sub.bit_count() >= need - 1:
+            total += _independent_ref(rows, sub, need - 1)
+    return total
+
+
+def _last_unit_ref(rows: list[int], s0: int, s1: int, need: int) -> tuple[int, int]:
+    """Completions by need >= 2 positions with (no, one) new edge.
+
+    s0 and s1 hold the later positions with no and with one chosen
+    neighbour.  A completion with a new edge has a core -- a position x
+    of s1, or an edge uv inside s0 -- and an independent rest drawn from
+    s0 outside the core's neighbourhood; each core's rest is counted apart.
+    """
+    none = _independent_ref(rows, s0, need)
+    one = 0
+    while s1:
+        b = s1 & -s1
+        s1 ^= b
+        one += _independent_ref(rows, s0 & ~rows[b.bit_length() - 1], need - 1)
+    later = s0
+    while later:
+        b = later & -later
+        later ^= b
+        adj = rows[b.bit_length() - 1]
+        ends = later & adj
+        away = s0 & ~adj
+        while ends:
+            v = ends & -ends
+            ends ^= v
+            rest = away & ~rows[v.bit_length() - 1]
+            one += 1 if need == 2 else _independent_ref(rows, rest, need - 2)
+    return none, one
+
+
+def core_census_counts(rows: list[int], candidates: int, k: int, budget: int) -> dict:
+    """Counts of k-subsets of candidates by exact induced edge count <= budget.
+
+    The counting census as it was before the last unit of budget became
+    one walk: bit-sliced prefixes while two or more units are left, then
+    an independent-set count with none left, or the defect-core split
+    with one left.  rows is the adjacency as vertex masks.
+    """
+    if k == 0:
+        return {0: 1}
+    tally = [0] * (min(budget, k * (k - 1) // 2) + 1)
+
+    def branch(slices: list[int], rest: int, e: int, need: int) -> None:
+        if need == 1:
+            for c, s in enumerate(slices):
+                tally[e + c] += s.bit_count()
+        elif len(slices) == 1:
+            tally[e] += _independent_ref(rows, rest, need)
+        elif len(slices) == 2:
+            none, one = _last_unit_ref(rows, slices[0], slices[1], need)
+            tally[e] += none
+            tally[e + 1] += one
+        else:
+            while rest.bit_count() >= need:
+                b = rest & -rest
+                rest ^= b
+                c = 0
+                while not slices[c] & b:
+                    c += 1
+                adj = rows[b.bit_length() - 1]
+                child = [slices[0] & ~adj & rest]
+                for i in range(1, len(slices) - c):
+                    child.append(((slices[i] & ~adj) | (slices[i - 1] & adj)) & rest)
+                union = 0
+                for s in child:
+                    union |= s
+                branch(child, union, e + c, need - 1)
+
+    if candidates.bit_count() >= k:
+        branch([candidates] + [0] * (len(tally) - 1), candidates, 0, k)
+    return {e: c for e, c in enumerate(tally) if c}

@@ -10,7 +10,13 @@ from cliquefree.census import CensusResult, census, cover_family
 from cliquefree.errors import NodeLimitError
 from cliquefree.graphs import Graph, covers_edge, sample_graph
 
-from oracles import edge_set, subsets_census, subsets_witnesses, vertex_mask
+from oracles import (
+    core_census_counts,
+    edge_set,
+    subsets_census,
+    subsets_witnesses,
+    vertex_mask,
+)
 
 # the package binds the name census to the function, so fetch the module itself
 census_module = importlib.import_module("cliquefree.census")
@@ -254,7 +260,7 @@ def test_census_node_limit_partial_holds_tallies_so_far():
 
 
 def test_census_counting_matches_listing_tally():
-    # counting mode counts the last unit of budget by core; listing mode
+    # counting mode counts the last unit of budget in one walk; listing mode
     # still walks every prefix, so its witnesses tallied by edge count are
     # an independent path to the same counts
     for n, seed in ((16, 1), (21, 2), (26, 3), (34, 4)):
@@ -272,16 +278,26 @@ def test_census_counting_matches_listing_tally():
 
 def test_census_counting_node_limit_stops_in_the_last_unit():
     # at (34, 8, 1) the root has one unit of budget, so every node is taken
-    # by the core count; the stop keeps the cores tallied before it
+    # in the last unit's count.  Every limit short of the full run stops it;
+    # the partial counts are lower bounds that grow with the limit, and
+    # some stop lands strictly between nothing and the full count.
     for seed in (1, 18):
         g = sample_graph(34, seed)
         full = census(g, 8, 1)
-        with pytest.raises(NodeLimitError) as exc:
-            census(g, 8, 1, node_limit=full.nodes // 2)
-        part = exc.value.partial
-        assert all(part.count(e) <= full.count(e) for e in part.counts)
-        assert 0 < part.total < full.total
-        assert part.witnesses is None
+        prev = {}
+        between = False
+        for limit in range(full.nodes):
+            with pytest.raises(NodeLimitError) as exc:
+                census(g, 8, 1, node_limit=limit)
+            part = exc.value.partial
+            assert exc.value.nodes == limit + 1
+            assert part.witnesses is None and not part.witnesses_complete
+            assert all(part.count(e) <= full.count(e) for e in part.counts)
+            assert all(prev.get(e, 0) <= part.count(e) for e in (0, 1))
+            prev = part.counts
+            between |= 0 < part.total < full.total
+        assert between, seed
+        assert census(g, 8, 1, node_limit=full.nodes).counts == full.counts
 
 
 def test_census_counting_on_vertices_matches_relabelled_listing_and_oracle():
@@ -319,3 +335,22 @@ def test_census_counting_on_vertices_matches_relabelled_listing_and_oracle():
                     want = [(m, e) for m, e in brute if e <= budget and not m & ~ground]
                     assert listed.witnesses == want, case
                     assert counted.counts == _tally(want), case
+
+
+def test_census_counting_matches_the_defect_core_count():
+    # the last unit of budget is one walk over independent sets; the oracle
+    # is the count it replaced, which split each completion by its defect
+    # core.  The c07 point (34, 8, 1) and the c08 part size (21, 7, 1) are
+    # one-unit censuses at the root; smaller points cover budgets 0..3, and
+    # the holed masks drop low, middle and top positions.
+    points = [(34, 8, 1, range(20)), (21, 7, 1, range(20)), (30, 7, 0, range(4)),
+              (30, 8, 2, range(2))]
+    points += [(n, k, budget, range(3)) for n in (9, 14, 18, 24)
+               for k in range(2, 8) for budget in range(4)]
+    for n, k, budget, seeds in points:
+        for seed in seeds:
+            g = sample_graph(n, seed)
+            for cand in (g.full_mask, g.full_mask & ~(0b1001000100101 | 1 << n - 1)):
+                case = (n, k, budget, seed, cand)
+                want = core_census_counts(g.rows, cand, k, budget)
+                assert census(g, k, budget, candidates=cand).counts == want, case

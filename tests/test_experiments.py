@@ -212,13 +212,14 @@ def test_poisson_check_json_holds_with_cold_and_warm_stein_chen_cache():
 # re-recorded when the census kernel redefined its rows' "nodes" (with every
 # row's "nodes" removed, the JSON is byte-identical to the earlier kernel's),
 # again when counting mode began to count the last unit of budget by core,
-# and again when counting mode stopped relabelling vertices by degree.
+# again when counting mode stopped relabelling vertices by degree, and
+# again when the last unit became one walk.
 # The alpha digest was re-recorded when the solver took the clique-cover bound.
 # The second digest is node_free_digest of the same JSON: a kernel change may
 # re-record the first for its "nodes" values, never the second.
 REPORT_GOLDEN = [
     (lambda w: poisson_check(14, 4, 1, reps=6, seed=3, workers=w),
-     "dab70f8fa6730212ec5f5d9df5ae2e03ef17fc9b47291f41e658d6cc9e7d50c4",
+     "4f752a2943b095e3c22e672ce1353e1504df097a67cc4e3f9a1772f92f5097b3",
      "5089c266ebd9ab37bc9399441b83723cd5e4e87cd1992d31cfa1e6c63a8e9bc7"),
     (lambda w: alpha_distribution(16, 2, reps=4, seed=5, workers=w),
      "355c23324f13e9eb6118fef1c90be751c01ec81fb027b7f4c06077787bc34481",

@@ -1,6 +1,8 @@
 """Tests for the exact solvers and defect-structure certificates."""
 
 import dataclasses
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -18,6 +20,7 @@ from cliquefree.solver import (
     max_pattern_free,
     verify_structure,
 )
+from cliquefree.thresholds import level
 
 from oracles import (
     alpha_clique_free,
@@ -376,6 +379,51 @@ def test_build_structure_impossible_cases():
     assert build_structure(Graph.complete(8), 2, 1, 3) is None
     # empty graph: a part needs exactly one defect edge but none exist
     assert build_structure(Graph.from_edges(12, []), 2, 1, 3) is None
+
+
+def test_build_structure_lists_no_parts_when_the_count_is_short(monkeypatch):
+    calls = []
+    real = cliquefree.solver.census
+
+    def spy(*args, **kw):
+        calls.append(kw.get("witnesses", False))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cliquefree.solver, "census", spy)
+    # K8 has no 4-set with exactly one edge; sample_graph(21, 2) has no
+    # 6-set with at most one, and sample_graph(21, 0) no independent one
+    for g, (r, j, k) in ((Graph.complete(8), (2, 1, 3)),
+                         (sample_graph(21, 2), (2, 1, 5)),
+                         (sample_graph(21, 0), (3, 2, 5))):
+        calls.clear()
+        assert build_structure(g, r, j, k) is None
+        assert calls == [False]
+    # with the supply there, the count is followed by the listing
+    calls.clear()
+    assert build_structure(sample_graph(21, 1), 2, 1, 5) is not None
+    assert calls == [False, True]
+
+
+# sha256 over build_structure(sample_graph(n, seed), r, j, level(n)) for
+# n = 14..24, (r, j) in ((2, 1), (3, 1), (3, 2)) and seeds 0..19, each
+# result's as_dict() (or None) as sort_keys JSON plus a newline; 17 of the
+# 660 find a structure.  Recorded before the parts were counted first.
+BUILD_GOLDEN = "b15244ba259c831d557d72f2761595e3fafaf11eaa43ba56adecdda760719744"
+
+
+def test_build_structure_golden_grid():
+    h = hashlib.sha256()
+    found = 0
+    for n in range(14, 25):
+        k = level(n)
+        for r, j in ((2, 1), (3, 1), (3, 2)):
+            for seed in range(20):
+                s = build_structure(sample_graph(n, seed), r, j, k)
+                found += s is not None
+                doc = None if s is None else s.as_dict()
+                h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert found == 17
+    assert h.hexdigest() == BUILD_GOLDEN
 
 
 def test_build_structure_validation():
