@@ -14,7 +14,6 @@ from cliquefree.profiles import (
     breakpoint_profile,
     interval_length_multiset,
     mu_xi,
-    structure_accounting,
 )
 
 for r in (11, 23):
@@ -24,10 +23,9 @@ for r in (11, 23):
     print("  j   mu  xi   defect accounting        group split")
     for j in prof.breakpoints:
         mu, xi = mu_xi(r, j)
-        lean, heavy, single = structure_accounting(r, j)
         total = xi * (mu + 1) + (j - xi) * (mu + 2)
         print(f"  {j:3d} {mu:3d} {xi:3d}   {xi}*{mu + 1} + {j - xi}*{mu + 2}"
-              f" = {total} = r        ({lean}, {heavy}, {single})")
+              f" = {total} = r        ({xi}, {j - xi}, {r - j})")
     print()
 
 # every j in 1..r, not just the breakpoints, satisfies the accounting

@@ -60,7 +60,6 @@ from .profiles import (
     interval_length_multiset,
     mu_xi,
     mu_xi_table,
-    structure_accounting,
 )
 from .rng import stream_at, stream_block, sub_seed
 from .solver import (

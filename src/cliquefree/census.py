@@ -195,10 +195,8 @@ def census(
             wit.append((vm | vbit[b.bit_length() - 1], e + c))
 
     def independent(cand: int, need: int) -> int:
-        """Count the independent need-sets of cand, for need >= 1."""
+        """Count the independent need-sets of cand, for need >= 2."""
         nonlocal nodes
-        if need == 1:
-            return cand.bit_count()
         total = 0
         while cand.bit_count() >= need:
             b = cand & -cand

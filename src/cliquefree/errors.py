@@ -22,7 +22,7 @@ class NodeLimitError(CliquefreeError):
         self.partial = partial
 
 
-class ThresholdChainError(CliquefreeError):
+class ThresholdChainError(CliquefreeError, ValueError):
     """Threshold bookkeeping produced a non-monotone chain.
 
     Raised when the computed appearance thresholds cannot be ordered into

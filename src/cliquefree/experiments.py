@@ -73,12 +73,11 @@ class ExperimentReport:
     config: dict
     summary: dict
     replicates: list = field(default_factory=list)
-    schema: int = SCHEMA_VERSION
     wall_clock_s: float | None = None
 
     def to_json(self, *, include_rows: bool = False, include_timing: bool = False) -> str:
         doc = {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "name": self.name,
             "config": self.config,
             "summary": self.summary,

@@ -107,17 +107,6 @@ class Graph:
                 m ^= b
                 yield (b.bit_length() - 1, v)
 
-    def edges_within(self, mask: int) -> int:
-        """Number of edges with both endpoints in the vertex mask."""
-        total = 0
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            total += (self.rows[v] & mask & (b - 1)).bit_count()
-        return total
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 

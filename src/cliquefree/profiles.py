@@ -47,17 +47,6 @@ def mu_xi_table(r: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, xi
 
 
-def structure_accounting(r: int, j: int) -> tuple[int, int, int]:
-    """Group-count split (xi_j, j - xi_j, r - j).
-
-    The three entries are: groups of size mu_j + 1, groups of size mu_j + 2,
-    and leftover singleton groups.  They satisfy
-    xi*(mu+1) + (j-xi)*(mu+2) = r exactly.
-    """
-    mu, xi = mu_xi(r, j)
-    return xi, j - xi, r - j
-
-
 @dataclass(frozen=True)
 class BreakpointProfile:
     """Where the balanced-split profile of r changes as j increases.

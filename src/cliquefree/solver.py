@@ -468,17 +468,16 @@ def build_structure(
             used = used_small
             for m in larges:
                 used |= m
-            defects = []
-            for pm in parts:
-                defects.extend(_edges_of(g, pm))
-            covers = pick_covers(tuple(defects), used, [])
+            part_defects = tuple(_edges_of(g, pm) for pm in parts)
+            defects = tuple(e for d in part_defects for e in d)
+            covers = pick_covers(defects, used, [])
             if covers is not None:
                 return DefectStructure(
                     r=r, j=j, k=k, mu=mu, xi=xi,
                     parts=parts,
-                    part_defects=tuple(_edges_of(g, pm) for pm in parts),
+                    part_defects=part_defects,
                     covers=tuple(covers),
-                    cover_edges=tuple(defects),
+                    cover_edges=defects,
                 )
     return None
 
@@ -517,9 +516,7 @@ def verify_structure(g: Graph, s: DefectStructure) -> bool:
         if len(actual) not in (mu, mu + 1):
             return False
 
-    all_defects = []
-    for d in s.part_defects:
-        all_defects.extend(d)
+    all_defects = [e for d in s.part_defects for e in d]
     if sorted(all_defects) != sorted(s.cover_edges):
         return False
 
@@ -527,7 +524,7 @@ def verify_structure(g: Graph, s: DefectStructure) -> bool:
         if cm.bit_count() != k or cm & union:
             return False
         union |= cm
-        if g.edges_within(cm) != 0:
+        if _edges_of(g, cm):
             return False
         if not covers_edge(g, cm, u, v):
             return False

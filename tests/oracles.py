@@ -211,36 +211,6 @@ def distance_to_partite_brute(n: int, edges: frozenset, r: int) -> int:
     return best
 
 
-def is_bipartite_bfs(n: int, edges: frozenset) -> bool:
-    adj = {v: [] for v in range(n)}
-    for e in edges:
-        u, v = tuple(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    color = {}
-    for s in range(n):
-        if s in color:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
-def has_triangle(n: int, edges: frozenset) -> bool:
-    for tri in combinations(range(n), 3):
-        if all(frozenset(p) in edges for p in combinations(tri, 2)):
-            return True
-    return False
-
-
 def triangle_census_brute(m: int) -> tuple:
     """Triangle-free count and bipartite-distance histogram over all
     2^C(m,2) labeled graphs on m vertices, by direct mask enumeration.

@@ -391,6 +391,12 @@ def test_domain_error_exit_code(capsys):
     assert err["error"] == "ValueError"
 
 
+def test_broken_threshold_chain_exit_code(capsys):
+    assert run(["intervals", "--r", "15", "--n-from", "20", "--n-to", "21"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ThresholdChainError"
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone took about a second to import, paid by every CLI process
     src = str(Path(cliquefree.__file__).resolve().parents[1])

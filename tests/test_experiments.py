@@ -108,6 +108,13 @@ def test_alpha_distribution_below_table_range():
     assert rep.summary["interval_coverage"] is None
 
 
+def test_alpha_distribution_with_broken_threshold_chain():
+    # (n, r) = (20, 15) has a non-monotone threshold chain; interval is omitted
+    rep = alpha_distribution(20, 15, 2, 0)
+    assert rep.summary["predicted_interval"] is None
+    assert rep.summary["interval_coverage"] is None
+
+
 # -- hitting_times ------------------------------------------------------------------
 
 

@@ -113,14 +113,6 @@ def test_equality_and_hash():
     assert a != "not a graph"
 
 
-def test_edges_within():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    assert g.edges_within(g.full_mask) == 5
-    assert g.edges_within(0b00111) == 2  # edges 01, 12
-    assert g.edges_within(0b00101) == 0
-    assert g.edges_within(0) == 0
-
-
 def test_mask_vertex_roundtrip():
     assert mask_to_vertices(0b101001) == [0, 3, 5]
     assert vertex_mask([5, 0, 3]) == 0b101001

@@ -1,10 +1,11 @@
 """Dead-name checks with ast, since no linter is installed.
 
 No imported name goes unused, every top-level library name and every
-method of a top-level library class has a caller outside the tests, and
-every parameter with a default is passed by some call outside the tests.
-The package's __init__.py is skipped by all three: its imports are the
-public exports, and an export is not a caller.
+method of a top-level library class has a caller outside the tests, every
+parameter with a default is passed by some call outside the tests, and
+every top-level name of tests/oracles.py has a caller in another test
+file.  The package's __init__.py is skipped by the first three: its
+imports are the public exports, and an export is not a caller.
 """
 
 import ast
@@ -180,6 +181,14 @@ def test_every_library_name_has_a_caller_outside_the_tests():
     callers = [path.read_text() for path in CALLERS]
     uncalled = sorted(set(uncalled_names(modules, callers)) - TEST_ONLY_NAMES)
     assert not uncalled, f"only the tests call {', '.join(uncalled)}"
+
+
+def test_every_oracle_has_a_caller_in_another_test_file():
+    oracles = ROOT / "tests" / "oracles.py"
+    callers = [path.read_text() for path in SOURCES
+               if path.parent.name == "tests" and path != oracles]
+    uncalled = uncalled_names({"oracles": oracles.read_text()}, callers)
+    assert not uncalled, f"no test calls {', '.join(uncalled)}"
 
 
 def defaulted_params(stmt) -> list[tuple]:

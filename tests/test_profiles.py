@@ -10,7 +10,6 @@ from cliquefree.profiles import (
     interval_length_multiset,
     mu_xi,
     mu_xi_table,
-    structure_accounting,
 )
 from oracles import breakpoints_by_divisors, breakpoints_by_scan, interval_lengths_brute
 
@@ -56,15 +55,6 @@ def test_mu_xi_validation():
         mu_xi(5, 6)
     with pytest.raises(ValueError):
         mu_xi(0, 1)
-
-
-def test_structure_accounting():
-    for r in (2, 11, 23, 100):
-        for j in range(1, r + 1):
-            small, large, singles = structure_accounting(r, j)
-            mu, xi = mu_xi(r, j)
-            assert small == xi and large == j - xi and singles == r - j
-            assert small * (mu + 1) + large * (mu + 2) == r
 
 
 def test_breakpoints_match_both_oracles():

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import cliquefree
 from cliquefree.errors import NodeLimitError
-from cliquefree.graphs import ExposureStream, Graph, mask_to_vertices, sample_graph
+from cliquefree.graphs import (
+    ExposureStream,
+    Graph,
+    covers_edge,
+    mask_to_vertices,
+    sample_graph,
+)
 from cliquefree.solver import (
     SolveResult,
     build_structure,
@@ -478,9 +484,20 @@ class TestVerifyRejectsCorruption:
         assert not verify_structure(g, dataclasses.replace(s, covers=covers))
 
     def test_cover_with_internal_edge(self, good):
+        # a k-set off the rest of the union that covers its edge and leaves
+        # the union clique-free, so only the cover's own edge rejects it
         g, s = good
-        u, v = next(iter(g.edges()))
-        covers = (vertex_mask([u, v]),) + s.covers[1:]
+        rest = s.union_mask & ~s.covers[0]
+        u, v = s.cover_edges[0]
+        for c in combinations(range(g.n), s.k):
+            cm = vertex_mask(c)
+            if (not cm & (rest | 1 << u | 1 << v) and covers_edge(g, cm, u, v)
+                    and any(g.has_edge(a, b) for a, b in combinations(c, 2))
+                    and not has_clique(g, rest | cm, s.r + 1)):
+                break
+        else:
+            pytest.fail("no edged cover candidate in the fixture graph")
+        covers = (cm,) + s.covers[1:]
         assert not verify_structure(g, dataclasses.replace(s, covers=covers))
 
     def test_cover_edge_multiset_mismatch(self, good):
