@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -106,15 +107,18 @@ def _experiment(
     """Run replicate(t, sub_seed(seed, t), *params.values()) for t < reps and
     report summarise(rows), with config = params plus reps and seed.
 
-    Parallel runs map one replicate per task in t order, in chunks of
-    ceil(reps / workers); the replicate is sent by reference, so it must be
-    a module-level function.
+    Parallel runs use at most os.cpu_count() processes and map one
+    replicate per task in t order, in chunks of ceil(reps / workers); the
+    replicate is sent by reference, so it must be a module-level function.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    workers = min(workers, os.cpu_count() or 1)
     t0 = time.perf_counter()
     args = tuple(params.values())
-    if workers <= 1 or reps < 2 * workers:
+    if workers == 1 or reps < 2 * workers:
         rows = [replicate(t, sub_seed(seed, t), *args) for t in range(reps)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -196,8 +196,10 @@ class ExposureStream:
     After m calls to step() the current graph equals sample_graph(m, seed)
     bit for bit.  Pairs are ordered by (max, min), so the first m vertices
     of sample_graph(N, seed) for any N >= m are sample_graph(m, seed): the
-    stream holds one sample and returns its prefixes, sampling again at
-    twice the size when a step runs past it.
+    stream holds one sample and returns its prefixes.  The first sample
+    has 32 vertices, so a short trajectory samples once; a step that runs
+    past the sample samples again at twice the size, capped at
+    MAX_VERTICES.
     """
 
     def __init__(self, seed: int):
@@ -215,7 +217,7 @@ class ExposureStream:
             raise ValueError("exposure stream exceeded the vertex cap")
         self.n += 1
         if self.n > self._sample.n:
-            self._sample = sample_graph(min(2 * self.n, MAX_VERTICES), self.seed)
+            self._sample = sample_graph(min(max(2 * self.n, 32), MAX_VERTICES), self.seed)
         return self.graph
 
 

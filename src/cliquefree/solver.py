@@ -10,18 +10,23 @@ a search that branches on the lowest candidate, include before exclude.
 After an include of b, the later candidates that now make a copy are
 dropped.  The two solvers differ only in that filter: for K_q only b's
 neighbours can make a copy, found by an exact clique search inside the
-common chosen neighbourhood; for f every later candidate c can, found by
-a subgraph match with b and c pinned into the copy.  Both filters are
+common chosen neighbourhood (for a triangle, one union of the rows of b's
+chosen neighbours); for f every later candidate c can, found by a
+subgraph match with b and c pinned into the copy.  Both filters are
 exact, so every reported witness is correct by construction.
 
 The bound is a clique cover of the candidates, built once per call: from
 the highest candidate down, each joins the first class it is fully
 adjacent to.  Any |F| vertices of a clique hold a copy of F, so an F-free
-set takes at most cap = |F| - 1 vertices of a class (q - 1 for K_q), and
-a class adds min(its size, cap).  The candidates left after the lower ones
-have been tried form a suffix, which keeps each class's highest members,
-so the one pass bounds every suffix; the call stops once |chosen| plus
-the suffix's bound cannot beat the incumbent.  Only subtrees that cannot
+set holds no clique on more than cap = |F| - 1 vertices (q - 1 for K_q).
+The members a set takes from one class form a clique with the largest
+clique K_t of common, the chosen vertices adjacent to the whole class, so
+a class adds at most max(1, cap - t) of them (each candidate passed the
+filter with all of chosen, so t < cap).  The candidates left after the
+lower ones have been tried form a suffix, which keeps each class's
+highest members, and those members see at least the class's common, so
+the one pass bounds every suffix; the call stops once |chosen| plus the
+suffix's bound cannot beat the incumbent.  Only subtrees that cannot
 strictly beat the incumbent are cut, and the incumbent changes only on a
 strict gain, so the search meets the same sequence of incumbents as one
 bounded by |chosen| + |candidates|: size and witness are those of the
@@ -101,7 +106,9 @@ def _max_free(
 
     keep(chosen, b, later) returns the vertices of later that make no copy
     of F with the F-free mask chosen, whose vertex bit b was added last;
-    cap = |F| - 1 is the most vertices of a clique an F-free set can hold.
+    cap = |F| - 1 is the most vertices of a clique an F-free set can hold,
+    so a class of the cover adds at most max(1, cap - t), with K_t the
+    largest clique of the chosen vertices adjacent to the whole class.
     The greedy seed keeps, in vertex order, each vertex that makes no
     copy.  With grown_from, the exact result for g without its last
     vertex v, the incumbent is grown_from instead, the search roots at the
@@ -151,21 +158,35 @@ def _max_free(
         # one clique cover of cand, built a class at a time: each class
         # takes, from the highest vertex down, every vertex adjacent to all
         # it holds, as when each vertex joins the first class that fits.
-        # A suffix of cand holds a class's members from the top, so its
-        # bound, the sum of min(members in it, cap), counts the suffix's
-        # members of tops, the cap highest members of each class.
+        # A class adds at most max(1, cap - t) members, K_t the largest
+        # clique of common (module docstring).  A suffix of cand holds a
+        # class's members from the top, so its bound counts the suffix's
+        # members of tops, the highest that many members of each class.
         tops = 0
         left = cand
         while left:
             fits = left
+            common = chosen
+            top = 0
             taken = 0
             while fits:
                 v = fits.bit_length() - 1
                 left ^= 1 << v
                 if taken < cap:
-                    tops |= 1 << v
+                    top |= 1 << v
                     taken += 1
-                fits &= rows[v]
+                row = rows[v]
+                common &= row
+                fits &= row
+            if common and taken > 1:
+                # t >= 1, so adds = min(taken, cap - t) >= 1: find it by the
+                # cliques of common, then drop top's lowest members
+                adds = min(taken, cap - 1)
+                while adds > 1 and _clique_within(rows, common, cap - adds + 1):
+                    adds -= 1
+                for _ in range(taken - adds):
+                    top &= top - 1
+            tops |= top
         bound = size + tops.bit_count()
         while cand and bound > best and best < target:
             b = cand & -cand
@@ -217,6 +238,13 @@ def max_clique_free(
         within = chosen & row
         if within.bit_count() < need:
             return later
+        if need == 1:  # a triangle b, c, w: drop b's neighbours that see within
+            seen = 0
+            while within:
+                w = within & -within
+                within ^= w
+                seen |= rows[w.bit_length() - 1]
+            return later & ~(row & seen)
         risky = later & row
         while risky:
             c = risky & -risky

@@ -344,6 +344,16 @@ def test_simulate_missing_flags(capsys):
     assert "--k" in err["message"] and "--i" in err["message"]
 
 
+def test_simulate_negative_workers_is_bad_input(capsys):
+    argv = ["simulate", "poisson", "--n", "14", "--k", "4", "--i", "1",
+            "--reps", "2", "--seed", "1", "--workers", "-3"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and "workers" in err["message"]
+
+
 def test_simulate_alpha_with_timing(capsys):
     assert run([
         "simulate", "alpha", "--n", "16", "--r", "2",

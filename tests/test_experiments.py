@@ -7,6 +7,7 @@ import math
 import pytest
 
 import cliquefree
+from cliquefree import experiments
 from cliquefree.census import census
 from cliquefree.experiments import (
     ExperimentReport,
@@ -205,6 +206,41 @@ def test_reports_are_deterministic_and_parallel_invariant():
     assert d.to_json() != a.to_json()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        poisson_check(14, 4, 1, reps=8, seed=9, workers=workers)
+
+
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus,started", [(3, [3]), (1, []), (None, [])])
+def test_pool_never_outnumbers_the_cpus(monkeypatch, cpus, started):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_PoolSpy, "started", [])
+    got = poisson_check(14, 4, 1, reps=8, seed=9, workers=64)
+    assert _PoolSpy.started == started
+    want = poisson_check(14, 4, 1, reps=8, seed=9)
+    assert got.to_json(include_rows=True) == want.to_json(include_rows=True)
+
+
 def test_poisson_check_json_holds_with_cold_and_warm_stein_chen_cache():
     stein_chen_bound.cache_clear()
     cold = poisson_check(14, 4, 1, reps=6, seed=3).to_json(include_rows=True)
@@ -221,7 +257,8 @@ def test_poisson_check_json_holds_with_cold_and_warm_stein_chen_cache():
 # again when counting mode began to count the last unit of budget by core,
 # again when counting mode stopped relabelling vertices by degree, and
 # again when the last unit became one walk.
-# The alpha digest was re-recorded when the solver took the clique-cover bound.
+# The alpha digest was re-recorded when the solver took the clique-cover bound,
+# and again when each class's cap took the cliques of its common neighbourhood.
 # The second digest is node_free_digest of the same JSON: a kernel change may
 # re-record the first for its "nodes" values, never the second.
 REPORT_GOLDEN = [
@@ -229,7 +266,7 @@ REPORT_GOLDEN = [
      "4f752a2943b095e3c22e672ce1353e1504df097a67cc4e3f9a1772f92f5097b3",
      "5089c266ebd9ab37bc9399441b83723cd5e4e87cd1992d31cfa1e6c63a8e9bc7"),
     (lambda w: alpha_distribution(16, 2, reps=4, seed=5, workers=w),
-     "355c23324f13e9eb6118fef1c90be751c01ec81fb027b7f4c06077787bc34481",
+     "033ec9179d3b4c360e268dfc705a4635359ace65cea90dfc9ab395fa6bbbd8d6",
      "2d9ac5287970added6e57868d3da5d805527318aa0b6e83ddeb2de06c7ce18b6"),
     (lambda w: hitting_times(2, 1, n_max=20, reps=4, seed=5, workers=w),
      "1cbbb1f02b902904392ba13f961df7d9b08501067153533326da10c0fefc34c6",

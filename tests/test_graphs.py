@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquefree import graphs
 from cliquefree.errors import Graph6Error
 from cliquefree.graphs import (
     MAX_VERTICES,
@@ -188,6 +189,24 @@ def test_exposure_stream_matches_one_shot():
         with pytest.raises(ValueError):
             ex.step()
         assert ex.n == MAX_VERTICES
+
+
+def test_exposure_stream_samples_once_up_to_32_vertices(monkeypatch):
+    sizes = []
+
+    def spy(n, seed):
+        sizes.append(n)
+        return sample_graph(n, seed)
+
+    monkeypatch.setattr(graphs, "sample_graph", spy)
+    ex = ExposureStream(5)
+    for _ in range(20):
+        ex.step()
+    assert sizes == [32]
+    for _ in range(20):
+        ex.step()
+    assert sizes == [32, 66]
+    assert ex.graph == sample_graph(40, 5)
 
 
 # -- graph6 --------------------------------------------------------------------

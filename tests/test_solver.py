@@ -18,6 +18,7 @@ from cliquefree.graphs import (
     mask_to_vertices,
     sample_graph,
 )
+from cliquefree.rng import sub_seed
 from cliquefree.solver import (
     SolveResult,
     build_structure,
@@ -118,21 +119,23 @@ def test_max_clique_free_extremes():
 # recorded before the clique and pattern solvers shared one search core;
 # node counts included, so any change to the search order shows here.  The
 # node counts were re-recorded when the search took the clique-cover bound
-# (3688, 6922, 23596, 3666, 4606 and 20378 under the plain size bound).
+# (3688, 6922, 23596, 3666, 4606 and 20378 under the plain size bound), and
+# again when each class's cap took the cliques of its common neighbourhood
+# (54, 118, 544, 300, 172 and 891 under the cover bound).
 MAX_CLIQUE_FREE_GOLDEN = [
     ((18, 1, 3), {"size": 11, "witness": [2, 3, 4, 5, 7, 8, 9, 10, 11, 15, 16],
-                  "nodes": 54}),
+                  "nodes": 42}),
     ((20, 2, 3), {"size": 10, "witness": [0, 3, 4, 10, 11, 12, 13, 14, 16, 18],
-                  "nodes": 118}),
+                  "nodes": 48}),
     ((22, 3, 3), {"size": 10, "witness": [0, 1, 3, 5, 6, 7, 9, 15, 19, 21],
-                  "nodes": 544}),
+                  "nodes": 333}),
     ((18, 4, 4), {"size": 13, "witness": [0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 15, 17],
-                  "nodes": 300}),
+                  "nodes": 161}),
     ((20, 5, 4), {"size": 14, "witness": [0, 1, 2, 3, 5, 7, 9, 10, 11, 13, 14, 15, 16, 19],
-                  "nodes": 172}),
+                  "nodes": 112}),
     ((21, 6, 4), {"size": 15,
                   "witness": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 20],
-                  "nodes": 891}),
+                  "nodes": 175}),
 ]
 
 
@@ -238,7 +241,7 @@ def test_grown_max_clique_free_rejects_a_bad_start():
 
 
 def test_max_clique_free_equals_plain_bound_search():
-    for n in range(23):
+    for n in range(25):
         for seed in range(6):
             g = sample_graph(n, seed)
             for q in range(2, 6):
@@ -257,6 +260,23 @@ def test_grown_max_clique_free_equals_plain_bound_search(q):
             want = plain_max_clique_free(cliquefree, g, q, grown_from=want)
             got = max_clique_free(g, q, grown_from=got)
             assert (got.size, got.witness) == (want.size, want.witness), (seed, n)
+
+
+@pytest.mark.parametrize("q,n_max", [(3, 40), (4, 34), (5, 30)])
+def test_grown_trajectories_equal_a_plain_resolve(q, n_max):
+    # longer streams than above, where the class caps cut most
+    for s in range(3):
+        stream = ExposureStream(sub_seed(11, s))
+        res = None
+        checked = None
+        for n in range(1, n_max + 1):
+            g = stream.step()
+            res = max_clique_free(g, q, grown_from=res)
+            assert res.size == max_clique_free(g, q).size, (s, n)
+            assert res.witness.bit_count() == res.size
+            if res.witness != checked:
+                assert max_clique_size_in(n, _edges(g), mask_to_vertices(res.witness)) < q
+                checked = res.witness
 
 
 PATTERNS = {
@@ -298,29 +318,32 @@ def test_max_pattern_free_matches_bruteforce(n, gseed, fn, fseed):
 
 
 def test_max_pattern_free_on_cliques_matches_clique_solver():
-    # one search core: same size, witness and node count, not only same size
-    for q in (3, 4):
+    # one search core: same size, witness and node count, not only same size;
+    # equal nodes also mean the triangle filter keeps what the matcher keeps
+    for q in (3, 4, 5):
         clique = Graph.complete(q)
-        for seed in range(8):
-            g = sample_graph(10, seed)
-            a = max_clique_free(g, q)
-            b = max_pattern_free(g, clique)
-            assert a == b, (q, seed)
-            assert _free_of(g, b.witness, clique)
+        for n in (10, 14):
+            for seed in range(8):
+                g = sample_graph(n, seed)
+                a = max_clique_free(g, q)
+                b = max_pattern_free(g, clique)
+                assert a == b, (q, n, seed)
+                assert _free_of(g, b.witness, clique)
 
 
 def test_max_pattern_free_path_pattern():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    for seed in (0, 1, 2):
-        g = sample_graph(8, seed)
+    for n, seed in [(8, 0), (8, 1), (8, 2), (11, 3), (12, 4), (12, 5)]:
+        g = sample_graph(n, seed)
         res = max_pattern_free(g, path)
-        assert res.size == alpha_pattern_free(8, _edges(g), 3, _edges(path)), seed
+        assert res.size == alpha_pattern_free(n, _edges(g), 3, _edges(path)), (n, seed)
+        assert res.witness.bit_count() == res.size
         assert _free_of(g, res.witness, path)
 
 
 def test_max_pattern_free_five_cycle_matches_bruteforce():
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    for n, seed in ((9, 0), (10, 1), (11, 2), (12, 3), (12, 4)):
+    for n, seed in ((9, 0), (10, 1), (11, 2), (12, 3), (12, 4), (13, 5), (13, 6)):
         g = sample_graph(n, seed)
         res = max_pattern_free(g, c5)
         assert res.size == alpha_pattern_free(n, _edges(g), 5, _edges(c5)), (n, seed)
