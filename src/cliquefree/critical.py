@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .logmath import LN2, log_binomial
 from .graphs import Graph
+from .thresholds import _min_n
 
 
 def chromatic_number(g: Graph) -> int:
@@ -105,16 +106,12 @@ def log_expected_partite(n: int, m: int, r: int) -> float:
 def first_vanishing_size(n: int, r: int) -> int:
     """Smallest m >= 1 with expected(m) at most 1.
 
-    The expected counts rise then fall in m, so an upward scan from 1
-    terminates at the first crossing.
+    f(m) = ln expected(m) has strictly decreasing steps and f(0) = 0 < f(1),
+    so once f(m) <= 0 for some m >= 1 it stays so, and thresholds._min_n applies.
     """
     if n < 2 or r < 2:
         raise ValueError("need n >= 2 and r >= 2")
-    cap = int(4 * r * math.log2(n)) + 64
-    for m in range(1, cap):
-        if log_expected_partite(n, m, r) <= 0.0:
-            return m
-    raise AssertionError("no vanishing size below the scan cap")
+    return _min_n(lambda m: log_expected_partite(n, m, r) <= 0.0, 1)
 
 
 @dataclass(frozen=True)

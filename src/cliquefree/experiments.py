@@ -319,6 +319,8 @@ def _witness_rep(t: int, child_seed: int, n: int, r: int, j: int, k: int) -> dic
         "verified": 0,
         "alpha_reached": None,
     }
+    if supply < xi:
+        return row  # build_structure would count the same short supply and find none
     try:
         s = build_structure(g, r, j, k)
     except NodeLimitError:

@@ -129,7 +129,10 @@ def log_binomial(n: int, k: int) -> LogValue:
     m = min(k, n - k)
     if m > _LOGSUM_TERM_LIMIT:
         raise ValueError("log_binomial outside supported range (huge n with huge k)")
-    nf = float(n)
+    try:
+        nf = float(n)
+    except OverflowError:
+        raise ValueError("log_binomial: n past the float range") from None
     s = math.fsum(math.log(nf - i) for i in range(m)) - math.lgamma(m + 1)
     return LogValue(s)
 

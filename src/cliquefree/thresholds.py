@@ -49,26 +49,37 @@ def threshold_slack(k: int) -> float:
 def _min_n(pred, lo: int) -> int:
     """Smallest n > lo with pred(n) true; pred must be monotone in n.
 
-    pred(lo) is required to be false.  The bracket doubles from 2*lo + 2
-    until it captures the flip, then bisects.  For a fixed pred this
-    performs a deterministic sequence of evaluations, so two calls with
-    the same pred and lo return identical results.
+    The model layer's one crossing search, behind level_threshold, level,
+    threshold_table and critical.first_vanishing_size.  pred(lo) must be
+    false.  The bracket doubles from 2*lo + 2 until it captures the flip,
+    then bisects: a deterministic sequence of evaluations for a fixed pred.
+    An n where pred raises ValueError (past the supported range, which ends
+    at some n) counts as past the flip.  A flip past the range, or one not
+    captured in 500 doublings, raises ValueError.
     """
     if pred(lo):
         raise AssertionError("search bracket does not start below the flip")
+
+    def past_flip(n: int) -> bool:
+        try:
+            return pred(n)
+        except ValueError:
+            return True
+
     hi = 2 * lo + 2
     doublings = 0
-    while not pred(hi):
+    while not past_flip(hi):
         lo, hi = hi, hi * 2
         doublings += 1
         if doublings > 500:
-            raise RuntimeError("threshold search did not converge")
+            raise ValueError("size past the supported range: no crossing found")
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if pred(mid):
+        if past_flip(mid):
             hi = mid
         else:
             lo = mid
+    pred(hi)  # raises ValueError when the flip itself is past the range
     return hi
 
 
@@ -85,10 +96,7 @@ def level(n: int) -> int:
     """The k with level_threshold(k) <= n < level_threshold(k+1)."""
     if n < level_threshold(_MIN_LEVEL):
         raise ValueError(f"n below the smallest supported threshold, n={n}")
-    k = _MIN_LEVEL
-    while level_threshold(k + 1) <= n:
-        k += 1
-    return k
+    return _min_n(lambda k: level_threshold(k + 1) > n, _MIN_LEVEL - 1)
 
 
 @dataclass(frozen=True)
@@ -156,15 +164,11 @@ def threshold_table(k: int, r: int) -> ThresholdTable:
     hi_t = LogValue.from_number(math.log(k + 1))
     prof = breakpoint_profile(r)
 
-    raw_lower = []
-    raw_upper = []
-    for mu in prof.mus:
-        raw_lower.append(
-            _min_n(lambda n: expected_defect_sets(n, k + 1, mu) >= lo_t, k)
-        )
-        raw_upper.append(
-            _min_n(lambda n: expected_defect_sets(n, k + 1, mu) >= hi_t, k)
-        )
+    def first_n(mu: int, target: LogValue) -> int:
+        return _min_n(lambda n: expected_defect_sets(n, k + 1, mu) >= target, k)
+
+    raw_lower = tuple(first_n(mu, lo_t) for mu in prof.mus)
+    raw_upper = tuple(first_n(mu, hi_t) for mu in prof.mus)
     lower = tuple(max(a_k, b) for b in raw_lower)
     upper = tuple(max(a_k, c) for c in raw_upper)
 
@@ -189,8 +193,8 @@ def threshold_table(k: int, r: int) -> ThresholdTable:
         breakpoints=prof.breakpoints,
         mus=prof.mus,
         xis=prof.xis,
-        raw_lower=tuple(raw_lower),
-        raw_upper=tuple(raw_upper),
+        raw_lower=raw_lower,
+        raw_upper=raw_upper,
         lower=lower,
         upper=upper,
     )

@@ -9,6 +9,7 @@ instead of counter-mode randomness.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -597,3 +598,32 @@ def core_census_counts(rows: list[int], candidates: int, k: int, budget: int) ->
     if candidates.bit_count() >= k:
         branch([candidates] + [0] * (len(tally) - 1), candidates, 0, k)
     return {e: c for e, c in enumerate(tally) if c}
+
+
+# -- the model layer's crossings by upward scans ------------------------------
+
+
+def level_by_scan(lib, n: int) -> int:
+    """thresholds.level as it was before it used the crossing search.
+
+    Walks k up from 3 until the next level threshold passes n.  lib is
+    the package under test, passed in so this module imports nothing
+    from it; only its level_threshold is used.
+    """
+    k = 3
+    while lib.level_threshold(k + 1) <= n:
+        k += 1
+    return k
+
+
+def first_vanishing_by_scan(lib, n: int, r: int) -> int:
+    """critical.first_vanishing_size as it was before it used the crossing search.
+
+    Scans m up from 1 to the first m with ln expected(m) <= 0, under the
+    old cap of 4 r log2 n + 64.  Only lib.log_expected_partite is used.
+    """
+    cap = int(4 * r * math.log2(n)) + 64
+    for m in range(1, cap):
+        if lib.log_expected_partite(n, m, r) <= 0.0:
+            return m
+    raise AssertionError("no vanishing size below the scan cap")

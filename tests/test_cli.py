@@ -401,6 +401,28 @@ def test_domain_error_exit_code(capsys):
     assert err["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--k", "1100", "--r", "2"],
+        ["predict", "--n", str(10 ** 400), "--r", "2"],
+        ["intervals", "--r", "2", "--n-from", str(10 ** 400), "--n-to", str(10 ** 400)],
+        ["critical", "--in", "{c5}", "--r", "2", "--n", str(10 ** 400)],
+    ],
+    ids=["thresholds-k1100", "predict-n1e400", "intervals-n1e400", "critical-n1e400"],
+)
+def test_size_past_the_numeric_range_is_bad_input(argv, tmp_path, capsys):
+    path = tmp_path / "c5.el"
+    path.write_text(edge_list_text(5, [(i, (i + 1) % 5) for i in range(5)]))
+    assert run([a.replace("{c5}", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert "past the" in err["message"]
+
+
 def test_broken_threshold_chain_exit_code(capsys):
     assert run(["intervals", "--r", "15", "--n-from", "20", "--n-to", "21"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -1,11 +1,13 @@
 """Tests for color-critical patterns and the concentration window."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquefree import critical
 from cliquefree.critical import (
     chromatic_number,
     concentration_window,
@@ -18,7 +20,7 @@ from cliquefree.critical import (
 from cliquefree.graphs import Graph, sample_graph
 from cliquefree.logmath import log_binomial
 
-from oracles import chromatic_brute, edge_set
+from oracles import chromatic_brute, edge_set, first_vanishing_by_scan
 
 
 def cycle(n):
@@ -135,6 +137,26 @@ def test_first_vanishing_size_certificate():
         first_vanishing_size(1, 2)
     with pytest.raises(ValueError):
         first_vanishing_size(100, 1)
+    with pytest.raises(ValueError, match="past the float range"):
+        first_vanishing_size(10 ** 400, 2)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_first_vanishing_size_equals_the_old_scan(r):
+    # n = 10^3..10^6 at r = 2, 3 are the c10 acceptance points
+    rng = random.Random(r)
+    seeded = [int(10 ** rng.uniform(3, 15)) for _ in range(40)]
+    for n in [*range(2, 401), *(10 ** e for e in range(3, 16)), *seeded]:
+        assert first_vanishing_size(n, r) == first_vanishing_by_scan(critical, n, r), n
+
+
+def test_first_vanishing_size_whose_search_probes_past_the_supported_range():
+    # the bracket doubles m to 2^18, past log_binomial's 200,000-term range,
+    # while the crossing lies below it; the old scan would take hours here
+    n, r = 10 ** 300, 100
+    m0 = first_vanishing_size(n, r)
+    assert m0 < 200_000 < 2 ** 18
+    assert log_expected_partite(n, m0, r) <= 0.0 < log_expected_partite(n, m0 - 1, r)
 
 
 def test_concentration_window_at_n1000_r2():

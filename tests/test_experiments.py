@@ -21,7 +21,8 @@ from cliquefree.experiments import (
 from cliquefree.graphs import ExposureStream, sample_graph
 from cliquefree.logmath import poisson_pmf, stein_chen_bound
 from cliquefree.rng import sub_seed
-from cliquefree.solver import max_clique_free
+from cliquefree.profiles import mu_xi
+from cliquefree.solver import build_structure, max_clique_free
 from cliquefree.thresholds import level, level_threshold
 
 from conftest import node_free_digest
@@ -186,6 +187,22 @@ def test_witness_rate_small_point():
 def test_witness_rate_defaults_to_level():
     rep = witness_rate(22, 2, 1, reps=2, seed=1)
     assert rep.summary["k"] == level(22) == 6
+
+
+@pytest.mark.parametrize("n,r,j", [(18, 2, 1), (21, 2, 2), (24, 3, 2), (20, 5, 4)])
+def test_witness_rep_builds_as_often_as_build_structure(n, r, j):
+    # a replicate with fewer than xi exact-mu parts skips build_structure,
+    # which finds no structure there; (21,2,2) builds at a supply of exactly
+    # xi, and (24,3,2) and (20,5,4) also need parts with mu + 1 defects
+    k = level(n)
+    mu, xi = mu_xi(r, j)
+    short = 0
+    for t in range(24):
+        row = experiments._witness_rep(t, sub_seed(5, t), n, r, j, k)
+        built = build_structure(sample_graph(n, sub_seed(5, t)), r, j, k) is not None
+        assert row["built"] == built
+        short += row["supply"] < xi
+    assert short
 
 
 def test_witness_rate_validation():

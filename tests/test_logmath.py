@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,10 @@ def test_log_binomial_huge_n():
     assert log_binomial(n, 0) == LogValue.one()
     with pytest.raises(TypeError):
         log_binomial(10.0, 2)
+    top = int(sys.float_info.max)  # the largest n a float holds
+    assert log_binomial(top, 2).ln == pytest.approx(2 * math.log(top) - math.log(2))
+    with pytest.raises(ValueError, match="past the float range"):
+        log_binomial(10 ** 400, 2)
 
 
 # -- first moments ---------------------------------------------------------------

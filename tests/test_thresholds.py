@@ -1,9 +1,11 @@
 """Tests for appearance thresholds, levels, and predicted intervals."""
 
 import math
+import random
 
 import pytest
 
+from cliquefree import thresholds
 from cliquefree.logmath import (
     LogValue,
     expected_defect_sets,
@@ -19,7 +21,7 @@ from cliquefree.thresholds import (
     threshold_table,
 )
 
-from oracles import exact_expected_defect
+from oracles import exact_expected_defect, level_by_scan
 
 # First n with C(n,k) 2^{-C(k,2)} >= ln k, computed by direct evaluation.
 KNOWN_THRESHOLDS = {3: 5, 4: 9, 5: 14, 6: 22, 7: 33, 8: 51, 10: 116}
@@ -49,6 +51,9 @@ def test_level_threshold_validation():
         level_threshold(2)
     with pytest.raises(ValueError):
         level_threshold(0)
+    # the flip lies beyond 500 doublings of the search bracket
+    with pytest.raises(ValueError, match="past the supported range"):
+        level_threshold(1100)
 
 
 def test_threshold_slack():
@@ -75,6 +80,29 @@ def test_level_window_property():
 def test_level_validation():
     with pytest.raises(ValueError):
         level(4)
+    with pytest.raises(ValueError, match="past the supported range"):
+        level(10 ** 400)
+
+
+def test_level_equals_the_old_scan():
+    for n in range(level_threshold(3), 3001):
+        assert level(n) == level_by_scan(thresholds, n), n
+    rng = random.Random(31)
+    seeded = [int(10 ** rng.uniform(math.log10(3000), 12)) for _ in range(400)]
+    top = level(10 ** 12)
+    seams = [level_threshold(k) + d for k in range(3, top + 1) for d in (-1, 0)]
+    for n in seeded + seams:
+        if n >= level_threshold(3):
+            assert level(n) == level_by_scan(thresholds, n), n
+
+
+def test_level_whose_search_probes_past_the_supported_range():
+    # the bracket doubles k to 1536, whose threshold is past the range;
+    # level_by_scan gives 784 here too, but takes about 30 s
+    n = 2 ** 400
+    k = level(n)
+    assert k == 784
+    assert level_threshold(k) <= n < level_threshold(k + 1)
 
 
 def _raw_certificates(table: ThresholdTable):
